@@ -1,0 +1,22 @@
+"""Make the program sources and the benchmark modules importable.
+
+Run from the repository root with ``python -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH.parent / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+
+import json
+
+import pytest
+
+
+@pytest.fixture
+def specs():
+    return json.loads((BENCH / "workloads.json").read_text())
