@@ -15,64 +15,17 @@ counts, virtual-latency percentiles) is stable across machines.
 from __future__ import annotations
 
 import json
-import platform
-import subprocess
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
+
+from repro.bench import percentile, run_metadata
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Process start (module import) time: ``run_metadata`` reports how long
-#: the benchmark run had been going when the artifact was written.
+#: Process start (module import) time: each ``_meta`` block reports how
+#: long the benchmark run had been going when the artifact was written.
 _RUN_START = time.time()
-
-_GIT_REV: Optional[str] = None
-
-
-def _git_rev() -> str:
-    """Short git revision of the repo, "" when unavailable (no git,
-    tarball checkout, sandboxed runner)."""
-    global _GIT_REV
-    if _GIT_REV is None:
-        try:
-            proc = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                timeout=5,
-            )
-            _GIT_REV = proc.stdout.strip() if proc.returncode == 0 else ""
-        except (OSError, subprocess.SubprocessError):
-            _GIT_REV = ""
-    return _GIT_REV
-
-
-def run_metadata() -> Dict[str, object]:
-    """Provenance stamped into every ``BENCH_*.json`` under ``"_meta"``.
-
-    Answers "which machine/toolchain/revision produced these numbers"
-    when two artifacts are diffed across PRs.  Wall-clock fields vary by
-    host and run; everything else is stable for a given checkout.
-    """
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "git_rev": _git_rev(),
-        "run_duration_s": round(time.time() - _RUN_START, 3),
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-
-
-def percentile(values: List[float], p: float) -> float:
-    """Nearest-rank percentile (p in [0, 100]); 0.0 on empty input."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def benchmark_entry(benchmark) -> Dict[str, float]:
@@ -109,7 +62,7 @@ def update_bench_json(
     if not isinstance(payload, dict):
         payload = {}
     payload[entry_name] = entry
-    payload["_meta"] = run_metadata()
+    payload["_meta"] = run_metadata(time.time() - _RUN_START)
     target.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -14,10 +14,6 @@ traffic never reaches it:
   REJECTED outcome, never silently.  :class:`FairAdmissionController`
   divides one global rate across tenants by weighted max-min sharing
   (DESIGN.md §16) so a noisy tenant cannot starve the rest.
-- :mod:`repro.gateway.adaptive` — bounded-step controllers with
-  hysteresis (MIDAS-style) that adapt the hotspot shield threshold and
-  cohort suspicion timeout to observed load/jitter instead of fixed
-  constants; deterministic under seeded runs.
 - :mod:`repro.gateway.hotspot` — sliding-window space-saving heavy-hitter
   sketch that flags hot paths and shields them (extended leases, pinned
   against LRU eviction).
@@ -42,7 +38,6 @@ queried directly behaves bit-identically to a build without this package.
 
 from repro.gateway.admission import (
     DEFAULT_TENANT,
-    AdmissionController,
     FairAdmissionController,
     TickResult,
     TokenBucket,
@@ -73,7 +68,6 @@ from repro.gateway.writeback import (
 )
 
 __all__ = [
-    "AdmissionController",
     "DEFAULT_TENANT",
     "FairAdmissionController",
     "TickResult",

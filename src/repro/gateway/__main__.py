@@ -67,6 +67,7 @@ import random
 import tempfile
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.bench import percentile, run_metadata
 from repro.core.cluster import GHBACluster, MutationEvent
 from repro.core.config import GHBAConfig
 from repro.faults.injector import PlanFaultInjector
@@ -115,42 +116,6 @@ def _finish_obs(args, tracer, flight) -> None:
             f"flight recorder: {len(flight.dumps)} dump(s) in "
             f"{args.flight_dir}"
         )
-
-
-def _run_metadata(duration_s: float) -> Dict[str, object]:
-    """Provenance stamped into CLI-written ``BENCH_*.json`` artifacts
-    (same shape as ``benchmarks/_bench_json.run_metadata``, which lives
-    outside the installed package)."""
-    import platform
-    import subprocess
-    import time
-
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        git_rev = proc.stdout.strip() if proc.returncode == 0 else ""
-    except (OSError, subprocess.SubprocessError):
-        git_rev = ""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "git_rev": git_rev,
-        "run_duration_s": round(duration_s, 3),
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-
-
-def _percentile(values: List[float], p: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _build_cluster(args, faulted: bool, tracer=None) -> GHBACluster:
@@ -343,10 +308,10 @@ def run_bench(args, tracer=None, flight=None) -> Dict[str, object]:
         "degraded_answers": degraded_answers,
         "chaos": bool(args.chaos),
         "outcomes": {k: outcomes[k] for k in sorted(outcomes)},
-        "p50_ms": round(_percentile(latencies, 50), 4),
-        "p99_ms": round(_percentile(latencies, 99), 4),
-        "direct_p50_ms": round(_percentile(direct_latencies, 50), 4),
-        "direct_p99_ms": round(_percentile(direct_latencies, 99), 4),
+        "p50_ms": round(percentile(latencies, 50), 4),
+        "p99_ms": round(percentile(latencies, 99), 4),
+        "direct_p50_ms": round(percentile(direct_latencies, 50), 4),
+        "direct_p99_ms": round(percentile(direct_latencies, 99), 4),
         "hotspots": [
             {"path": h.key, "count": h.count, "error": h.error}
             for h in gateway.top_hotspots(args.top)
@@ -518,8 +483,8 @@ def _replay_mutation_trace(
     wb = {key: counter for key, counter in client._wb.items()}
     return {
         "mutation_rpcs": client.backend_mutations,
-        "mutation_p50_ms": round(_percentile(mutation_latencies, 50), 4),
-        "mutation_p99_ms": round(_percentile(mutation_latencies, 99), 4),
+        "mutation_p50_ms": round(percentile(mutation_latencies, 50), 4),
+        "mutation_p99_ms": round(percentile(mutation_latencies, 99), 4),
         "oracle_divergences": len(fleet ^ oracle),
         "stale_reads": stale_reads,
         "overlay_mismatches": overlay_mismatches,
@@ -641,7 +606,7 @@ def _cmd_writeback_bench(args) -> int:
         json.dump(
             {
                 "gateway_writeback": stats,
-                "_meta": _run_metadata(time.time() - started),
+                "_meta": run_metadata(time.time() - started),
             },
             handle,
             indent=2,
@@ -697,7 +662,7 @@ def _cmd_tenant_bench(args) -> int:
         json.dump(
             {
                 "gateway_tenants": stats,
-                "_meta": _run_metadata(time.time() - started),
+                "_meta": run_metadata(time.time() - started),
             },
             handle,
             indent=2,
@@ -962,7 +927,7 @@ def _cmd_cohort_bench(args) -> int:
     print(render_cohort_bench(stats))
     if args.json:
         stats = dict(stats)
-        stats["_meta"] = _run_metadata(time.time() - started)
+        stats["_meta"] = run_metadata(time.time() - started)
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(stats, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -1049,7 +1014,7 @@ def _cmd_bench(args) -> int:
     if args.transport == "tcp":
         from repro.net.bench import run_tcp_bench
 
-        return run_tcp_bench(args, _run_metadata)
+        return run_tcp_bench(args)
     if args.cohort is not None:
         return _cmd_cohort_bench(args)
     if args.tenants is not None:

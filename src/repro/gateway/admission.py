@@ -7,19 +7,16 @@ explicit REJECTED outcome — never silently dropped.  That explicitness is
 what lets the soak tests and benchmarks reconcile goodput against offered
 load exactly: ``admitted + shed == submitted`` at every instant.
 
-Two controllers share that contract:
-
-- :class:`AdmissionController` — the original single global bucket (one
-  FIFO queue, tenant-blind).  Kept as the baseline the tenant-isolation
-  harness must show *failing* under a noisy neighbour.
-- :class:`FairAdmissionController` — per-tenant demand with **weighted
-  max-min sharing** of one global rate (DESIGN.md §16).  Each virtual
-  tick the refilled tokens are divided across demanding tenants by
-  progressive filling: no tenant with unmet demand receives less than
-  its weighted share of the contended tokens (the *floor*), and tokens
-  a tenant does not need redistribute to those still hungry (work
-  conservation).  Queues and shed causes are per tenant, so one
-  tenant's backlog can never push another's requests out of the queue.
+:class:`FairAdmissionController` keeps that contract with per-tenant
+demand and **weighted max-min sharing** of one global rate (DESIGN.md
+§16).  Each virtual tick the refilled tokens are divided across
+demanding tenants by progressive filling: no tenant with unmet demand
+receives less than its weighted share of the contended tokens (the
+*floor*), and tokens a tenant does not need redistribute to those still
+hungry (work conservation).  Queues and shed causes are per tenant, so
+one tenant's backlog can never push another's requests out of the
+queue.  With ``per_tenant=False`` it is the tenant-blind global bucket
+the isolation harness must show *failing* under a noisy neighbour.
 
 Everything runs on the caller-supplied virtual clock (seconds); nothing
 reads wall time, so a seeded replay is deterministic.
@@ -106,109 +103,6 @@ class AdmissionStats:
     @property
     def shed(self) -> int:
         return self.shed_full + self.shed_deadline
-
-
-class AdmissionController(Generic[T]):
-    """Token bucket + bounded FIFO queue with per-item deadlines.
-
-    Usage per tick::
-
-        admitted, shed = controller.submit_many(items, now)
-        ... serve admitted ...
-        # next tick: drain whatever the refilled bucket now allows
-        admitted, shed = controller.pump(now)
-
-    ``submit_many`` first drains the queue (FIFO fairness: a queued request
-    is always older than a fresh one), then admits fresh items while
-    tokens last, queues the overflow, and sheds what no longer fits.
-    """
-
-    def __init__(
-        self,
-        rate_per_s: float,
-        burst: float,
-        queue_capacity: int = 64,
-        queue_deadline_s: float = 1.0,
-    ) -> None:
-        if queue_capacity < 0:
-            raise ValueError(
-                f"queue_capacity must be >= 0, got {queue_capacity}"
-            )
-        if queue_deadline_s <= 0:
-            raise ValueError(
-                f"queue_deadline_s must be positive, got {queue_deadline_s}"
-            )
-        self.bucket = TokenBucket(rate_per_s, burst)
-        self.queue_capacity = queue_capacity
-        self.queue_deadline_s = queue_deadline_s
-        self._queue: Deque[Tuple[float, T]] = deque()  # (deadline, item)
-        self.stats = AdmissionStats()
-
-    # ------------------------------------------------------------------
-    # Core operations
-    # ------------------------------------------------------------------
-    def _expire(self, now: float) -> List[T]:
-        """Shed queued items whose deadline has passed."""
-        expired: List[T] = []
-        while self._queue and self._queue[0][0] <= now:
-            _, item = self._queue.popleft()
-            expired.append(item)
-            self.stats.shed_deadline += 1
-        return expired
-
-    def pump(self, now: float) -> Tuple[List[T], List[T]]:
-        """Advance the clock: admit queued items as tokens refill.
-
-        Returns ``(admitted, shed)`` — the shed list holds items whose
-        deadline expired before a token arrived.
-        """
-        shed = self._expire(now)
-        admitted: List[T] = []
-        while self._queue and self.bucket.take(now):
-            _, item = self._queue.popleft()
-            admitted.append(item)
-            self.stats.admitted += 1
-        return admitted, shed
-
-    def submit(self, item: T, now: float) -> Tuple[List[T], List[T]]:
-        """Submit one item; returns (admitted, shed) like :meth:`pump`."""
-        return self.submit_many([item], now)
-
-    def submit_many(self, items: List[T], now: float) -> Tuple[List[T], List[T]]:
-        """Submit a tick's worth of items.
-
-        Queue first (FIFO), then fresh arrivals; whatever the bucket
-        cannot cover is queued up to capacity and shed beyond it.
-        """
-        admitted, shed = self.pump(now)
-        for item in items:
-            self.stats.submitted += 1
-            if self.bucket.take(now):
-                self.stats.admitted += 1
-                admitted.append(item)
-            elif len(self._queue) < self.queue_capacity:
-                self.stats.queued += 1
-                self._queue.append((now + self.queue_deadline_s, item))
-            else:
-                self.stats.shed_full += 1
-                shed.append(item)
-        return admitted, shed
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    def queued_items(self) -> List[T]:
-        return [item for _, item in self._queue]
-
-    def __repr__(self) -> str:
-        return (
-            f"AdmissionController(queue={len(self._queue)}/"
-            f"{self.queue_capacity}, stats={self.stats})"
-        )
 
 
 # ----------------------------------------------------------------------

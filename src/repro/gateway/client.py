@@ -32,15 +32,10 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.cluster import GHBACluster, MutationEvent, MutationOutcome
-from repro.gateway.adaptive import (
-    AdaptiveController,
-    ControllerConfig,
-    LoadEstimator,
-)
 from repro.gateway.admission import (
     DEFAULT_TENANT,
     FairAdmissionController,
@@ -59,6 +54,10 @@ from repro.metadata.attributes import FileMetadata
 from repro.obs.flight import NULL_RECORDER, FlightRecorderHub
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Span, Tracer
+
+#: Client-side cost model: a lease answer costs one local memory probe
+#: equivalent; it never touches the network.
+CACHE_HIT_LATENCY_MS = 0.001
 
 
 class Outcome(enum.Enum):
@@ -132,29 +131,9 @@ class GatewayConfig:
     tenant_default_weight: float = 1.0
     # Coalescing / batching
     max_batch: int = 16
-    # Hotspot detection
-    hotspot_capacity: int = 64
-    hotspot_window_s: float = 5.0
+    # Hotspot detection (sketch capacity and window are the
+    # HotspotDetector defaults)
     hot_threshold: int = 32
-    #: Adapt ``hot_threshold`` to observed load (MIDAS-style) instead of
-    #: keeping it fixed.  Off by default: with the flag off the detector
-    #: is bit-identical to the static constant.  When on, the target
-    #: threshold is ``observed rate × window × hot_fraction`` — "hot"
-    #: means "takes at least this fraction of the window's traffic" —
-    #: chased by a bounded-step controller with hysteresis
-    #: (:mod:`repro.gateway.adaptive`), clamped to
-    #: [hot_threshold_min, hot_threshold_max].
-    adaptive_hotspot: bool = False
-    hot_threshold_min: int = 8
-    hot_threshold_max: int = 512
-    hot_fraction: float = 0.02
-    #: Damping shared by the gateway-side adaptive controllers.
-    adaptive_step_frac: float = 0.25
-    adaptive_deadband_frac: float = 0.2
-    adaptive_cooldown_s: float = 1.0
-    # Client-side cost model: a lease answer costs one local memory probe
-    # equivalent; it never touches the network.
-    cache_hit_latency_ms: float = 0.001
     # Write-back mutation buffering (DESIGN.md §11).  Off by default:
     # mutations stay synchronous write-through, bit-identical to PR 3.
     writeback: bool = False
@@ -197,16 +176,6 @@ class GatewayConfig:
             if weight <= 0:
                 raise ValueError(
                     f"tenant {tenant!r} weight must be positive, got {weight}"
-                )
-        if self.adaptive_hotspot:
-            if not 1 <= self.hot_threshold_min <= self.hot_threshold_max:
-                raise ValueError(
-                    "need 1 <= hot_threshold_min <= hot_threshold_max, got "
-                    f"{self.hot_threshold_min}..{self.hot_threshold_max}"
-                )
-            if not 0 < self.hot_fraction <= 1:
-                raise ValueError(
-                    f"hot_fraction must be in (0, 1], got {self.hot_fraction}"
                 )
         if self.writeback:
             if self.flush_max_pending < 1:
@@ -291,27 +260,7 @@ class MetadataClient:
             per_tenant=cfg.admission_mode == "fair",
         )
         self.batcher = HomeBatcher(max_batch=cfg.max_batch)
-        self.hotspots = HotspotDetector(
-            capacity=cfg.hotspot_capacity,
-            window_s=cfg.hotspot_window_s,
-            hot_threshold=cfg.hot_threshold,
-        )
-        #: MIDAS-style shield adaptation (None unless opted in — the
-        #: static path stays bit-identical).
-        self._hot_controller: Optional[AdaptiveController] = None
-        self._load: Optional[LoadEstimator] = None
-        if cfg.adaptive_hotspot:
-            self._hot_controller = AdaptiveController(
-                initial=float(cfg.hot_threshold),
-                config=ControllerConfig(
-                    minimum=float(cfg.hot_threshold_min),
-                    maximum=float(cfg.hot_threshold_max),
-                    max_step_frac=cfg.adaptive_step_frac,
-                    deadband_frac=cfg.adaptive_deadband_frac,
-                    cooldown_s=cfg.adaptive_cooldown_s,
-                ),
-            )
-            self._load = LoadEstimator(window_s=1.0)
+        self.hotspots = HotspotDetector(hot_threshold=cfg.hot_threshold)
         self.backend_queries = 0  # full walks + batch round trips
         #: Mutation-path RPCs to the fleet: write-through mutations, flush
         #: batches (and their retries), renames, conflict re-reads and
@@ -467,7 +416,7 @@ class MetadataClient:
         ).set(self.admission.queue_depth)
         m.gauge(
             "gateway_hot_threshold",
-            "Current hotspot shield threshold (adaptive or static).",
+            "Current hotspot shield threshold.",
         ).set(self.hotspots.hot_threshold)
 
     # ------------------------------------------------------------------
@@ -544,16 +493,6 @@ class MetadataClient:
         """
         if self.writeback is not None:
             self.maybe_flush(now)
-        if self._load is not None and self._hot_controller is not None:
-            # MIDAS-style shield adaptation: "hot" tracks a fraction of
-            # the observed window traffic instead of a fixed count.
-            rate = self._load.observe(len(items), now)
-            target = (
-                rate * self.config.hotspot_window_s * self.config.hot_fraction
-            )
-            self.hotspots.hot_threshold = max(
-                1, int(round(self._hot_controller.update(target, now)))
-            )
         counts: Dict[str, int] = {}
         for tenant, _ in items:
             counts[tenant] = counts.get(tenant, 0) + 1
@@ -620,13 +559,8 @@ class MetadataClient:
         now: float,
         tenants: Optional[List[str]] = None,
     ) -> List[GatewayResponse]:
-        cfg = self.config
-        if tenants is None:
-            for path in paths:
-                self.hotspots.observe(path, now)
-        else:
-            for path, tenant in zip(paths, tenants):
-                self.hotspots.observe(path, now, tenant=tenant)
+        for path in paths:
+            self.hotspots.observe(path, now)
         # ---- cache ----------------------------------------------------
         answered: Dict[str, GatewayResponse] = {}
         predictions: List[Tuple[str, Optional[int]]] = []
@@ -643,14 +577,14 @@ class MetadataClient:
                             outcome=Outcome.OVERLAY,
                             home_id=pending.home_id,
                             record=pending.record,
-                            latency_ms=cfg.cache_hit_latency_ms,
+                            latency_ms=CACHE_HIT_LATENCY_MS,
                             from_overlay=True,
                         )
                     else:  # pending delete: the path is (about to be) gone
                         answered[path] = GatewayResponse(
                             path=path,
                             outcome=Outcome.OVERLAY,
-                            latency_ms=cfg.cache_hit_latency_ms,
+                            latency_ms=CACHE_HIT_LATENCY_MS,
                             from_overlay=True,
                         )
                     continue
@@ -661,7 +595,7 @@ class MetadataClient:
                     answered[path] = GatewayResponse(
                         path=path,
                         outcome=Outcome.NEGATIVE_HIT,
-                        latency_ms=cfg.cache_hit_latency_ms,
+                        latency_ms=CACHE_HIT_LATENCY_MS,
                         from_cache=True,
                     )
                 else:
@@ -671,7 +605,7 @@ class MetadataClient:
                         outcome=Outcome.HIT,
                         home_id=lookup.home_id,
                         record=lookup.record,
-                        latency_ms=cfg.cache_hit_latency_ms,
+                        latency_ms=CACHE_HIT_LATENCY_MS,
                         from_cache=True,
                     )
                 continue
@@ -967,7 +901,7 @@ class MetadataClient:
                 pending_after.home_id if pending_after is not None else home_id
             ),
             record=record,
-            latency_ms=self.config.cache_hit_latency_ms,
+            latency_ms=CACHE_HIT_LATENCY_MS,
             from_overlay=True,
         )
 
@@ -977,7 +911,7 @@ class MetadataClient:
         pending = buffer.get(path)
         home_id: Optional[int] = None
         base_version: Optional[int] = None
-        latency_ms = self.config.cache_hit_latency_ms
+        latency_ms = CACHE_HIT_LATENCY_MS
         if pending is not None:
             home_id = pending.home_id
         else:
@@ -987,7 +921,7 @@ class MetadataClient:
                 return GatewayResponse(
                     path=path,
                     outcome=Outcome.NEGATIVE_HIT,
-                    latency_ms=self.config.cache_hit_latency_ms,
+                    latency_ms=CACHE_HIT_LATENCY_MS,
                     from_cache=True,
                 )
             if entry is not None and entry.home_id is not None:

@@ -30,21 +30,14 @@ asked, and sharing it multiplies the backend savings — but it means a
 noisy tenant can *donate* cache benefit, never steal it: pins extend
 TTLs and block eviction, they never consume another tenant's admission
 tokens (admission fairness is enforced upstream, per tenant, in
-``repro.gateway.admission``).  The detector therefore *attributes* heat
-per tenant (:meth:`HotspotDetector.dominant_tenant`) for observability —
-the shield itself stays shared.  ``tests/unit/test_gateway_hotspot.py``
-locks both halves of this contract.
+``repro.gateway.admission``).
+``tests/unit/test_gateway_hotspot.py`` locks this contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-#: Tenant key used when the caller does not identify one (kept in sync
-#: with ``repro.gateway.admission.DEFAULT_TENANT`` without importing it —
-#: the sketch layer stays dependency-free).
-DEFAULT_TENANT = "-"
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -72,23 +65,18 @@ class SpaceSavingSketch:
         self._errors: Dict[str, int] = {}
         self.observed = 0
 
-    def offer(self, key: str, amount: int = 1) -> Optional[str]:
-        """Account one observation of ``key``.
-
-        Returns the evicted key when the offer displaced a monitored
-        counter, else None — callers keeping per-key side state (the
-        detector's tenant attribution) prune on it.
-        """
+    def offer(self, key: str, amount: int = 1) -> None:
+        """Account one observation of ``key``."""
         if amount < 1:
             raise ValueError(f"amount must be >= 1, got {amount}")
         self.observed += amount
         if key in self._counts:
             self._counts[key] += amount
-            return None
+            return
         if len(self._counts) < self.capacity:
             self._counts[key] = amount
             self._errors[key] = 0
-            return None
+            return
         # Evict the minimum counter; the newcomer inherits its count as
         # over-estimation error (ties broken by key for determinism).
         victim = min(self._counts, key=lambda k: (self._counts[k], k))
@@ -96,7 +84,6 @@ class SpaceSavingSketch:
         self._errors.pop(victim)
         self._counts[key] = floor + amount
         self._errors[key] = floor
-        return victim
 
     def estimate(self, key: str) -> int:
         """Estimated count (never an under-count; 0 if unmonitored)."""
@@ -160,11 +147,6 @@ class HotspotDetector:
         self.hot_threshold = hot_threshold
         self._current = SpaceSavingSketch(capacity)
         self._previous = SpaceSavingSketch(capacity)
-        # Per-tenant attribution of each monitored key's heat, one map
-        # per epoch, pruned in lockstep with sketch evictions so memory
-        # stays bounded by ``2 × capacity`` keys.
-        self._current_tenants: Dict[str, Dict[str, int]] = {}
-        self._previous_tenants: Dict[str, Dict[str, int]] = {}
         self._epoch_start = 0.0
         self.rotations = 0
 
@@ -175,25 +157,13 @@ class HotspotDetector:
         while now - self._epoch_start >= self.window_s:
             self._previous = self._current
             self._current = SpaceSavingSketch(self.capacity)
-            self._previous_tenants = self._current_tenants
-            self._current_tenants = {}
             self._epoch_start += self.window_s
             self.rotations += 1
 
-    def observe(
-        self, key: str, now: float, tenant: str = DEFAULT_TENANT
-    ) -> None:
-        """Account one request for ``key`` at virtual time ``now``.
-
-        ``tenant`` attributes the heat for observability; it never
-        changes what is hot (the shield is shared — see module docs).
-        """
+    def observe(self, key: str, now: float) -> None:
+        """Account one request for ``key`` at virtual time ``now``."""
         self._maybe_rotate(now)
-        evicted = self._current.offer(key)
-        if evicted is not None:
-            self._current_tenants.pop(evicted, None)
-        per_tenant = self._current_tenants.setdefault(key, {})
-        per_tenant[tenant] = per_tenant.get(tenant, 0) + 1
+        self._current.offer(key)
 
     # ------------------------------------------------------------------
     # Queries
@@ -214,27 +184,6 @@ class HotspotDetector:
         return list(self._current._counts) + [
             k for k in self._previous._counts if k not in self._current._counts
         ]
-
-    def tenant_counts(self, key: str) -> Dict[str, int]:
-        """Windowed per-tenant attribution of ``key``'s heat.
-
-        Only meaningful while ``key`` is monitored; an evicted or
-        rotated-out key returns {} (attribution is bounded best-effort,
-        exactly like the sketch estimates it annotates).
-        """
-        merged: Dict[str, int] = {}
-        for epoch in (self._current_tenants, self._previous_tenants):
-            for tenant, count in epoch.get(key, {}).items():
-                merged[tenant] = merged.get(tenant, 0) + count
-        return merged
-
-    def dominant_tenant(self, key: str) -> Optional[str]:
-        """The tenant contributing the most heat to ``key`` (ties by
-        name; None when the key carries no attribution)."""
-        counts = self.tenant_counts(key)
-        if not counts:
-            return None
-        return min(counts, key=lambda t: (-counts[t], t))
 
     def top_k(self, k: int = 5) -> List[HeavyHitter]:
         """Top hotspots by windowed estimate (merged across both epochs)."""

@@ -27,8 +27,9 @@ test suite's assertion cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.bench import percentile
 from repro.core.cluster import GHBACluster
 from repro.gateway.client import GatewayResponse, Outcome
 
@@ -77,13 +78,7 @@ class AuditStats:
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile of observed stale windows (0 if none)."""
-        if not self.staleness_samples:
-            return 0.0
-        ordered = sorted(self.staleness_samples)
-        index = min(
-            len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1)))
-        )
-        return ordered[index]
+        return percentile(self.staleness_samples, p)
 
     @property
     def max_staleness_s(self) -> float:

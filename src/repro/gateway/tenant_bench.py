@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro.bench import percentile
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.gateway.admission import fractional_fair_shares
-from repro.gateway.client import GatewayConfig, MetadataClient, Outcome
+from repro.gateway.client import GatewayConfig, MetadataClient
 from repro.traces.profiles import PROFILES
 from repro.traces.records import TraceRecord
 from repro.traces.synthetic import SyntheticTraceGenerator
@@ -70,14 +71,6 @@ def jain_index(values: Sequence[float]) -> float:
         return 1.0
     total = sum(values)
     return (total * total) / (len(values) * square_sum)
-
-
-def _percentile(values: List[float], p: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _replay(
@@ -175,8 +168,8 @@ def _replay(
             "shed_rate": (
                 round(shed / stats.submitted, 4) if stats.submitted else 0.0
             ),
-            "p50_ms": round(_percentile(latencies.get(tenant, []), 50), 4),
-            "p99_ms": round(_percentile(latencies.get(tenant, []), 99), 4),
+            "p50_ms": round(percentile(latencies.get(tenant, []), 50), 4),
+            "p99_ms": round(percentile(latencies.get(tenant, []), 99), 4),
         }
     digest = hashlib.sha256(
         json.dumps(per_tenant, sort_keys=True).encode("utf-8")

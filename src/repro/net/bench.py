@@ -27,8 +27,9 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro.bench import run_metadata
 from repro.core.config import GHBAConfig
 from repro.metadata.attributes import FileMetadata
 from repro.net.supervisor import ProcessSupervisor, config_from_dict
@@ -265,7 +266,7 @@ def _verify_final_state(
     return mismatches
 
 
-def run_tcp_bench(args, run_metadata) -> int:
+def run_tcp_bench(args) -> int:
     """Drive the multi-process bench; returns the process exit code."""
     started = time.monotonic()
     config = GHBAConfig()

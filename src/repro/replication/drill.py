@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
+from repro.bench import run_metadata
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.faults.injector import PlanFaultInjector
@@ -59,34 +60,6 @@ from repro.replication.standby import StandbyNode
 #: Reserved node id of the standby endpoint on the drill's transport
 #: (far above any MDS id).
 STANDBY_ID = 9001
-
-
-def _run_metadata(duration_s: float) -> Dict[str, object]:
-    """Provenance stamped into CLI-written ``BENCH_*.json`` artifacts
-    (same shape as ``benchmarks/_bench_json.run_metadata``, which lives
-    outside the installed package)."""
-    import platform
-    import subprocess
-    import time
-
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        git_rev = proc.stdout.strip() if proc.returncode == 0 else ""
-    except (OSError, subprocess.SubprocessError):
-        git_rev = ""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "git_rev": git_rev,
-        "run_duration_s": round(duration_s, 3),
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
 
 
 def _build_primary(args) -> GHBACluster:
@@ -412,7 +385,7 @@ def run_drill(args) -> int:
             json.dump(
                 {
                     "replication": entry,
-                    "_meta": _run_metadata(_time.time() - started),
+                    "_meta": run_metadata(_time.time() - started),
                 },
                 handle,
                 indent=2,

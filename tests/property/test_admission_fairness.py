@@ -35,6 +35,8 @@ from repro.gateway.admission import (
     FairAdmissionController,
 )
 
+from tests.property._shrink import shrink
+
 SEEDS = range(24)
 
 TENANTS = ["a", "b", "c", "d"]
@@ -127,27 +129,12 @@ def _run(seed, ticks):
     return None
 
 
-def _shrink(seed, ticks, failure):
-    """Greedy delta-debug: drop ticks while the failure reproduces."""
-    current = list(ticks)
-    shrunk = True
-    while shrunk and len(current) > 1:
-        shrunk = False
-        for index in range(len(current) - 1, -1, -1):
-            candidate = current[:index] + current[index + 1:]
-            if candidate and _run(seed, candidate) is not None:
-                current = candidate
-                shrunk = True
-                break
-    return current
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_demand_respects_max_min_oracle(seed):
     ticks = _generate_ticks(seed)
     failure = _run(seed, ticks)
     if failure is not None:
-        minimal = _shrink(seed, ticks, failure)
+        minimal = shrink(ticks, lambda c: _run(seed, c) is not None)
         pytest.fail(
             f"seed {seed}: {failure}\nminimal failing schedule "
             f"({len(minimal)} ticks): {minimal}"
@@ -176,23 +163,11 @@ def test_shrinker_finds_minimal_schedules():
     reduces to a single tick (guards against a shrinker that silently
     stops shrinking and reports giant schedules)."""
     ticks = _generate_ticks(99, length=30)
-    target = [t for t in ticks if "c" in t[1]]
-    if not target:
+    if not any("c" in demands for _, demands in ticks):
         pytest.skip("schedule never demands from tenant c")
-
-    def fake_run(seed, candidate):
-        return (
-            "synthetic"
-            if any("c" in demands for _, demands in candidate)
-            else None
-        )
-
-    global _run
-    original = _run
-    _run = fake_run
-    try:
-        minimal = _shrink(99, ticks, "synthetic")
-    finally:
-        _run = original
+    minimal = shrink(
+        ticks,
+        lambda candidate: any("c" in demands for _, demands in candidate),
+    )
     assert len(minimal) == 1
     assert "c" in minimal[0][1]

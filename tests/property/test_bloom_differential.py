@@ -48,6 +48,7 @@ from tests._reference_bloom import (
     RefCountingBloomFilter,
     RefHashFamily,
 )
+from tests.property._shrink import shrink
 
 SEEDS = range(30)
 
@@ -299,31 +300,13 @@ def _run(seed, ops):
     return None
 
 
-def _shrink(seed, ops):
-    """Greedy delta-debug: drop ops while the failure reproduces.
-
-    The geometry header (op 0) is pinned — a sequence without it is
-    vacuously passing, so the shrinker only considers real ops.
-    """
-    current = list(ops)
-    shrunk = True
-    while shrunk and len(current) > 2:
-        shrunk = False
-        for index in range(len(current) - 1, 0, -1):
-            candidate = current[:index] + current[index + 1:]
-            if _run(seed, candidate) is not None:
-                current = candidate
-                shrunk = True
-                break
-    return current
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_packed_substrate_matches_reference(seed):
     ops = _generate_ops(seed)
     failure = _run(seed, ops)
     if failure is not None:
-        minimal = _shrink(seed, ops)
+        # Pin the geometry header: without it the replay passes vacuously.
+        minimal = shrink(ops, lambda c: _run(seed, c) is not None, keep=1)
         pytest.fail(
             f"seed {seed}: {failure}\nminimal failing sequence "
             f"({len(minimal)} ops): {minimal}"
@@ -349,26 +332,13 @@ def test_shrinker_pins_geometry_and_minimizes():
     """The shrinker reduces a synthetic failure to header + one op."""
     ops = _generate_ops(7, length=40)
     assert ops[0][0] == "geometry"
-    target = next(
-        (index for index, (op, _) in enumerate(ops) if op == "cadd"), None
-    )
-    if target is None:
+    if not any(op == "cadd" for op, _ in ops):
         pytest.skip("sequence has no cadd")
-    global _run
-    original = _run
-
-    def fake_run(seed, candidate):
-        return (
-            "synthetic"
-            if any(op == "cadd" for op, _ in candidate)
-            else None
-        )
-
-    _run = fake_run
-    try:
-        minimal = _shrink(7, ops)
-    finally:
-        _run = original
+    minimal = shrink(
+        ops,
+        lambda candidate: any(op == "cadd" for op, _ in candidate),
+        keep=1,
+    )
     assert len(minimal) == 2
     assert minimal[0][0] == "geometry"
     assert minimal[1][0] == "cadd"

@@ -34,6 +34,8 @@ from repro.replication import ChangeCapture, StandbyEndpoint
 from repro.replication.audit import diff_states, snapshot_state
 from repro.replication.cdc import entry_to_wire
 
+from tests.property._shrink import shrink
+
 SEEDS = range(20)
 
 NUM_SERVERS = 4
@@ -193,27 +195,12 @@ def _run(seed, ops):
     return None
 
 
-def _shrink(seed, ops):
-    """Greedy delta-debug: drop ops while the failure reproduces."""
-    current = list(ops)
-    shrunk = True
-    while shrunk and len(current) > 1:
-        shrunk = False
-        for index in range(len(current) - 1, -1, -1):
-            candidate = current[:index] + current[index + 1:]
-            if candidate and _run(seed, candidate) is not None:
-                current = candidate
-                shrunk = True
-                break
-    return current
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_hostile_delivery_converges_exactly_once(seed):
     ops = _generate_ops(seed)
     failure = _run(seed, ops)
     if failure is not None:
-        minimal = _shrink(seed, ops)
+        minimal = shrink(ops, lambda c: _run(seed, c) is not None)
         pytest.fail(
             f"seed {seed}: {failure}\nminimal failing sequence "
             f"({len(minimal)} ops): {minimal}"

@@ -25,6 +25,8 @@ from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.gateway import GatewayConfig, MetadataClient, Outcome
 
+from tests.property._shrink import shrink
+
 SEEDS = range(24)
 
 NUM_SERVERS = 5
@@ -173,27 +175,12 @@ def _run(seed, ops):
     return None
 
 
-def _shrink(seed, ops, failure):
-    """Greedy delta-debug: drop ops while the failure reproduces."""
-    current = list(ops)
-    shrunk = True
-    while shrunk and len(current) > 1:
-        shrunk = False
-        for index in range(len(current) - 1, -1, -1):
-            candidate = current[:index] + current[index + 1:]
-            if candidate and _run(seed, candidate) is not None:
-                current = candidate
-                shrunk = True
-                break
-    return current
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_sequences_converge_to_oracle(seed):
     ops = _generate_ops(seed)
     failure = _run(seed, ops)
     if failure is not None:
-        minimal = _shrink(seed, ops, failure)
+        minimal = shrink(ops, lambda c: _run(seed, c) is not None)
         pytest.fail(
             f"seed {seed}: {failure}\nminimal failing sequence "
             f"({len(minimal)} ops): {minimal}"
@@ -205,28 +192,11 @@ def test_shrinker_finds_minimal_sequences():
     reduces to a single op (guards against a shrinker that silently
     stops shrinking and reports giant sequences)."""
     ops = _generate_ops(99, length=30)
-    # A sequence that ends with a create and never flushes would leave
-    # fleet != oracle only if acks were broken; instead exercise _shrink
-    # directly against a synthetic failure function via monkey substitution.
-    calls = []
-
-    def fake_run(seed, candidate):
-        calls.append(len(candidate))
-        # Fails whenever the sequence still contains any delete op.
-        return (
-            "synthetic"
-            if any(op == "delete" for op, _, _ in candidate)
-            else None
-        )
-
     if not any(op == "delete" for op, _, _ in ops):
         pytest.skip("sequence has no delete")
-    global _run
-    original = _run
-    _run = fake_run
-    try:
-        minimal = _shrink(99, ops, "synthetic")
-    finally:
-        _run = original
+    # Fails whenever the sequence still contains any delete op.
+    minimal = shrink(
+        ops, lambda candidate: any(op == "delete" for op, _, _ in candidate)
+    )
     assert len(minimal) == 1
     assert minimal[0][0] == "delete"

@@ -3,9 +3,8 @@
 Includes the lock for the documented **shared-pin semantics**: the
 hotspot shield and ``LeaseCache.pin`` are tenant-blind by design — a pin
 earned by one tenant's traffic protects the lease for every tenant
-(pins donate benefit, never steal capacity), while per-tenant *blame*
-lives in the detector's tenant attribution and per-tenant fairness is
-enforced upstream at admission.  See the module docstring of
+(pins donate benefit, never steal capacity), while per-tenant fairness
+is enforced upstream at admission.  See the module docstring of
 :mod:`repro.gateway.hotspot`.
 """
 
@@ -108,61 +107,13 @@ class TestHotspotDetector:
         assert [(h.key, h.count) for h in top] == [("/a", 3), ("/b", 1)]
 
 
-class TestTenantAttribution:
-    """Per-tenant blame for heat: who made a key hot, without changing
-    what *hot* means (the shield itself stays tenant-blind)."""
-
-    def test_counts_and_dominant_tenant(self):
-        detector = HotspotDetector(window_s=5.0, hot_threshold=3)
-        detector.observe("/hot", 0.0, tenant="u0")
-        detector.observe("/hot", 0.1, tenant="u0")
-        detector.observe("/hot", 0.2, tenant="u1")
-        assert detector.tenant_counts("/hot") == {"u0": 2, "u1": 1}
-        assert detector.dominant_tenant("/hot") == "u0"
-        assert detector.tenant_counts("/cold") == {}
-        assert detector.dominant_tenant("/cold") is None
-
-    def test_dominance_tie_breaks_by_name(self):
-        detector = HotspotDetector(window_s=5.0, hot_threshold=3)
-        detector.observe("/p", 0.0, tenant="u9")
-        detector.observe("/p", 0.1, tenant="u1")
-        assert detector.dominant_tenant("/p") == "u1"
-
-    def test_attribution_merges_epochs_and_decays(self):
-        detector = HotspotDetector(window_s=1.0, hot_threshold=2)
-        detector.observe("/a", 0.9, tenant="u0")
-        detector.observe("/a", 1.1, tenant="u1")  # rotation in between
-        assert detector.tenant_counts("/a") == {"u0": 1, "u1": 1}
-        # Two windows past the last observation both epochs have
-        # rotated away: the attribution is forgotten with the counts.
-        detector.observe("/b", 3.5, tenant="u2")
-        assert detector.tenant_counts("/a") == {}
-
-    def test_eviction_prunes_attribution(self):
-        detector = HotspotDetector(capacity=2, window_s=5.0, hot_threshold=2)
-        detector.observe("/a", 0.0, tenant="u0")
-        detector.observe("/a", 0.1, tenant="u0")
-        detector.observe("/b", 0.2, tenant="u1")
-        detector.observe("/c", 0.3, tenant="u2")  # evicts /b (min count)
-        assert detector.tenant_counts("/b") == {}
-        assert detector.dominant_tenant("/b") is None
-        # Attribution never outlives sketch membership.
-        assert detector.tenant_counts("/c") == {"u2": 1}
-
-    def test_default_tenant_when_unattributed(self):
-        detector = HotspotDetector(window_s=5.0, hot_threshold=2)
-        detector.observe("/a", 0.0)
-        assert detector.tenant_counts("/a") == {"-": 1}
-
-
 class TestSharedPinSemantics:
     """The documented contract: hot-path pins are **tenant-blind**.
 
     A pin earned by one tenant's traffic shields the lease for everyone
     — it can only *add* cache residency (donate), never take another
     tenant's admission share (fairness is enforced upstream, before the
-    cache is consulted).  Per-tenant blame stays available through the
-    detector's attribution.
+    cache is consulted).
     """
 
     def _client(self, paths, **overrides):
@@ -204,9 +155,6 @@ class TestSharedPinSemantics:
         assert response.outcome is Outcome.HIT
         assert response.from_cache
         assert response.tenant == "u1"
-        # Blame stays attributed: the heat belongs to u0.
-        assert client.hotspots.dominant_tenant("/pin/hot") == "u0"
-        assert client.hotspots.tenant_counts("/pin/hot")["u0"] >= 3
 
     def test_unpinned_lease_is_evicted_by_the_same_churn(self):
         """Non-vacuity: without the pin (threshold out of reach) the
