@@ -34,8 +34,11 @@ import hashlib
 from typing import Dict, List, Tuple
 
 #: Per-family bound on memoized probes.  Sized to hold the hot set of the
-#: bench workloads (thousands of distinct paths) with slack; at ~200 bytes
-#: per entry the worst case is a few MB per geometry.
+#: bench workloads (thousands of distinct paths) with slack.  Each entry
+#: keeps a full-width probe mask of about ``num_bits / 8`` bytes (18-20 KB
+#: at the default 160 000-bit filter), so a full cache holds over 1 GB
+#: per geometry; a process that probes many distinct paths grows by
+#: about 20 KB per path until the bound is reached.
 PROBE_CACHE_CAPACITY = 1 << 16
 
 

@@ -5,8 +5,9 @@ protocol step is a :class:`~repro.prototype.messages.Message` delivered by
 a transport object exposing ``send`` / ``request`` / ``gather``.  This
 package supplies the second implementation of that surface:
 
-- :mod:`repro.net.reliability` — the transport-agnostic retry/backoff
-  driver (hoisted out of ``InProcessTransport``) plus the shared
+- :mod:`repro.net.reliability` — the :class:`~repro.net.reliability.
+  Transport` base of both transports (counters, fault verdict, retry
+  hooks), the transport-agnostic retry/backoff driver, and the shared
   :class:`~repro.net.reliability.GatherResult` /
   :class:`~repro.net.reliability.TransportClosed` vocabulary.
 - :mod:`repro.net.codec` — a versioned, length-prefixed, deterministic

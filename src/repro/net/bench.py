@@ -29,7 +29,7 @@ import time
 import zlib
 from typing import Dict, List
 
-from repro.bench import run_metadata
+from repro.bench import percentile, run_metadata
 from repro.core.config import GHBAConfig
 from repro.metadata.attributes import FileMetadata
 from repro.net.supervisor import ProcessSupervisor, config_from_dict
@@ -62,26 +62,6 @@ def _record_for(path: str, index: int) -> FileMetadata:
     return FileMetadata(path=path, inode=index + 1, size=index % 4096)
 
 
-def _percentiles(samples_ms: List[float]) -> Dict[str, float]:
-    if not samples_ms:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
-    ordered = sorted(samples_ms)
-
-    def pick(p: float) -> float:
-        index = min(len(ordered) - 1, int(p * len(ordered)))
-        return round(ordered[index], 3)
-
-    return {
-        "p50": pick(0.50),
-        "p95": pick(0.95),
-        "p99": pick(0.99),
-        "max": round(ordered[-1], 3),
-    }
-
-
-# ----------------------------------------------------------------------
-# Gateway worker (runs in its own OS process)
-# ----------------------------------------------------------------------
 def run_gateway_worker(args) -> Dict[str, object]:
     """One gateway's share of the bench; returns its JSON report."""
     import random
@@ -189,7 +169,12 @@ def run_gateway_worker(args) -> Dict[str, object]:
             "lookup_rpcs": lookup_rpcs,
             "mutations": mutations,
             "mutation_rpcs": mutation_rpcs,
-            "latency_ms": _percentiles(latencies_ms),
+            "latency_ms": {
+                name: round(percentile(latencies_ms, p), 3)
+                for name, p in (
+                    ("p50", 50), ("p95", 95), ("p99", 99), ("max", 100)
+                )
+            },
             "expected": {path: exists[path] for path in sorted(exists)},
             "transport": transport.stats(),
             "counters": {

@@ -14,7 +14,7 @@ A single daemon thread runs an asyncio event loop; caller threads talk
 to it through ``run_coroutine_threadsafe``.  Per peer there is one
 pooled client connection carrying all requests, with:
 
-- a **bounded outbound queue** (``outbound_queue_limit`` frames): when
+- a **bounded outbound queue** (``OUTBOUND_QUEUE_LIMIT`` frames): when
   it is full the *caller thread blocks* until the writer drains — that
   is real backpressure, surfaced in ``transport_backpressure_stalls_total``
   and the ``transport_queue_high_water`` gauge rather than hidden in an
@@ -28,15 +28,15 @@ the node's mailbox, and arms ``message.reply_to`` with a shim whose
 ``put(reply)`` encodes the reply back onto the originating connection —
 the node's handler loop cannot tell the two transports apart.
 
-Fault-boundary parity: every ``send`` consults the same
-:class:`~repro.faults.injector.FaultInjector` verdict protocol as the
-in-process transport (drop → ``False`` but still counted, delay →
-virtual arrival bump, duplicate → extra frames), and retry/backoff is
-the shared :mod:`repro.net.reliability` driver, so recovery semantics
-are identical by construction.  A peer that cannot be reached (connect
-refused after bounded attempts, or not in the port map) raises
-:class:`TransportClosed` — which ``gather`` reports as ``unreachable``,
-matching a deregistered in-process node.
+Fault-boundary parity: the counters, the
+:class:`~repro.faults.injector.FaultInjector` verdict in ``send`` (drop →
+``False`` but still counted, delay → virtual arrival bump, duplicate →
+extra frames) and retry/backoff all live in the shared
+:class:`~repro.net.reliability.Transport` base, so they are identical to
+the in-process transport by construction.  A peer that cannot be
+reached (connect refused after bounded attempts, or not in the port
+map) raises :class:`TransportClosed` — which ``gather`` reports as
+``unreachable``, matching a deregistered in-process node.
 """
 
 from __future__ import annotations
@@ -44,29 +44,26 @@ from __future__ import annotations
 import asyncio
 import json
 import queue
-import random
 import socket
 import struct
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.faults.injector import FaultInjector, NULL_INJECTOR
-from repro.faults.retry import DEFAULT_RETRY, RetryPolicy
+from repro.faults.injector import FaultInjector
+from repro.faults.retry import RetryPolicy
 from repro.net.codec import (
     MAX_FRAME_BYTES,
     CodecError,
     decode_body,
     encode_body,
 )
-from repro.net.reliability import (
-    GatherResult,
-    TransportClosed,
-    reliable_gather,
-    reliable_request,
-)
+from repro.net.reliability import GatherResult, Transport, TransportClosed
 from repro.prototype.messages import Message
 
 __all__ = ["PortMap", "TcpTransport"]
+
+#: Frames one connection may queue before the sending thread blocks.
+OUTBOUND_QUEUE_LIMIT = 1024
 
 
 class PortMap:
@@ -169,13 +166,10 @@ class _Outbound:
     __slots__ = ("queue", "task", "closed")
 
     def __init__(
-        self,
-        transport: "TcpTransport",
-        writer: asyncio.StreamWriter,
-        limit: int,
+        self, transport: "TcpTransport", writer: asyncio.StreamWriter
     ) -> None:
         self.queue: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue(
-            maxsize=limit
+            maxsize=OUTBOUND_QUEUE_LIMIT
         )
         self.closed = False
         self.task = asyncio.get_running_loop().create_task(
@@ -215,11 +209,11 @@ class _PeerConnection:
         self.closed = False
 
 
-class TcpTransport:
+class TcpTransport(Transport):
     """TCP implementation of the prototype transport surface.
 
-    Parameters mirror :class:`~repro.prototype.transport.
-    InProcessTransport`, plus the TCP-specific connection knobs.
+    Parameters are those of :class:`~repro.net.reliability.Transport`
+    plus the port map and the connect retry knobs.
     """
 
     def __init__(
@@ -231,24 +225,12 @@ class TcpTransport:
         metrics=None,
         connect_attempts: int = 10,
         connect_backoff_s: float = 0.05,
-        outbound_queue_limit: int = 1024,
     ) -> None:
+        super().__init__(default_timeout_s, injector, retry, metrics)
         self.portmap = portmap
-        self._default_timeout = default_timeout_s
-        self.injector: FaultInjector = (
-            injector if injector is not None else NULL_INJECTOR
-        )
-        self.retry: RetryPolicy = retry if retry is not None else DEFAULT_RETRY
-        self._retry_rng = random.Random(0)
         self._connect_attempts = max(1, connect_attempts)
         self._connect_backoff_s = connect_backoff_s
-        self._outbound_queue_limit = outbound_queue_limit
 
-        self._lock = threading.Lock()
-        self._messages_sent = 0
-        self._replies_received = 0
-        self._retries = 0
-        self._exhausted = 0
         # Wire-level stats (TCP-only; the in-process transport has no wire).
         self._bytes_in = 0
         self._bytes_out = 0
@@ -265,22 +247,9 @@ class TcpTransport:
         self._conns: Dict[int, _PeerConnection] = {}
         self._closed = False
 
-        self._metrics = metrics
         self._m = {}
         if metrics is not None:
             self._m = {
-                "retries": metrics.counter(
-                    "transport_retries_total",
-                    "Request attempts re-sent after a reply timed out.",
-                ),
-                "exhausted": metrics.counter(
-                    "transport_retry_exhausted_total",
-                    "Requests/multicast legs that ran out of retry attempts.",
-                ),
-                "backoff": metrics.histogram(
-                    "transport_retry_backoff_ms",
-                    "Backoff (virtual milliseconds) charged before each retry.",
-                ).labels(),
                 "bytes": metrics.counter(
                     "transport_bytes_total",
                     "Bytes moved on the wire, by direction.",
@@ -327,35 +296,8 @@ class TcpTransport:
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     # ------------------------------------------------------------------
-    # Counters (same surface as InProcessTransport, plus wire stats)
+    # Wire stats (TCP-only; the shared counters live in Transport)
     # ------------------------------------------------------------------
-    @property
-    def messages_sent(self) -> int:
-        with self._lock:
-            return self._messages_sent
-
-    @property
-    def replies_received(self) -> int:
-        with self._lock:
-            return self._replies_received
-
-    @property
-    def retries(self) -> int:
-        with self._lock:
-            return self._retries
-
-    @property
-    def exhausted(self) -> int:
-        with self._lock:
-            return self._exhausted
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self._messages_sent = 0
-            self._replies_received = 0
-            self._retries = 0
-            self._exhausted = 0
-
     def stats(self) -> Dict[str, int]:
         """Wire-level stats snapshot (monotonic since construction)."""
         with self._lock:
@@ -394,24 +336,6 @@ class TcpTransport:
         if self._m:
             self._m["high_water"].labels().set(high)
 
-    def _count_reply(self) -> None:
-        with self._lock:
-            self._messages_sent += 1  # the reply on the wire
-            self._replies_received += 1
-
-    def _note_retry(self, backoff_s: float) -> None:
-        with self._lock:
-            self._retries += 1
-        if self._m:
-            self._m["retries"].inc()
-            self._m["backoff"].observe(backoff_s * 1000.0)
-
-    def _note_exhausted(self, count: int = 1) -> None:
-        with self._lock:
-            self._exhausted += count
-        if self._m:
-            self._m["exhausted"].inc(count)
-
     # ------------------------------------------------------------------
     # Registration (server side)
     # ------------------------------------------------------------------
@@ -432,7 +356,7 @@ class TcpTransport:
         mailbox = self._mailboxes[node_id]
 
         async def handle(reader, writer):
-            outbound = _Outbound(self, writer, self._outbound_queue_limit)
+            outbound = _Outbound(self, writer)
             try:
                 await self._pump_inbound(reader, mailbox, outbound)
             except asyncio.CancelledError:
@@ -516,7 +440,7 @@ class TcpTransport:
         if self._m:
             self._m["connects"].inc()
         conn = _PeerConnection()
-        conn.outbound = _Outbound(self, writer, self._outbound_queue_limit)
+        conn.outbound = _Outbound(self, writer)
         conn.reader_task = self._loop.create_task(
             self._client_reader(dest, conn, reader)
         )
@@ -586,79 +510,21 @@ class TcpTransport:
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
-    def send(self, dest: int, message: Message, count: bool = True) -> bool:
-        """One-way send; parity with ``InProcessTransport.send``.
-
-        Returns True when the frame was handed to the peer connection;
-        False when the fault layer dropped it (still counted — it went
-        on the wire and vanished there).  Raises :class:`TransportClosed`
-        for a peer that is absent from the port map or refuses
-        connections beyond the bounded connect retries.
-        """
+    def _resolve(self, dest: int) -> int:
+        # Only a closed transport fails before the send is counted; a
+        # peer absent from the port map or refusing connections raises
+        # TransportClosed from _deliver, after counting and the verdict.
         if self._closed:
             raise TransportClosed("transport is closed")
-        # Counting and the injector verdict come first, exactly like the
-        # in-process transport: a dropped message was still sent.
-        with self._lock:
-            if count:
-                self._messages_sent += 1
-        copies = 1
-        if self.injector.enabled:
-            verdict = self.injector.on_send(dest, message)
-            if not verdict.deliver:
-                return False
-            if verdict.delay_s:
-                message.arrival_vtime += verdict.delay_s
-            copies = verdict.copies
+        return dest
+
+    def _deliver(self, dest: int, message: Message, copies: int) -> None:
         expects_reply = message.reply_to is not None
         if expects_reply:
             with self._lock:
                 self._pending[message.request_id] = message.reply_to
         body = encode_body(message, expects_reply)
         self._call(self._enqueue_frames(dest, [body] * copies))
-        return True
-
-    # ------------------------------------------------------------------
-    # Wire adapter driven by repro.net.reliability
-    # ------------------------------------------------------------------
-    def dispatch_attempt(self, dest: int, message: Message, count: bool) -> bool:
-        message.reply_to = queue.Queue()
-        return self.send(dest, message, count=count)
-
-    def collect_reply(
-        self, message: Message, timeout_s: float
-    ) -> Optional[Message]:
-        try:
-            return message.reply_to.get(timeout=timeout_s)
-        except queue.Empty:
-            return None
-
-    def reply_received(self, count: bool) -> None:
-        if count:
-            self._count_reply()
-        else:
-            with self._lock:
-                self._replies_received += 1
-
-    def next_backoff(self, retry_index: int) -> float:
-        with self._lock:
-            return self.retry.backoff_s(retry_index, self._retry_rng)
-
-    def note_retry(self, backoff_s: float) -> None:
-        self._note_retry(backoff_s)
-
-    def note_exhausted(self, count: int) -> None:
-        self._note_exhausted(count)
-
-    def retry_attempt(self, message: Message, backoff_s: float) -> Message:
-        return Message(
-            kind=message.kind,
-            sender=message.sender,
-            payload=message.payload,
-            request_id=message.request_id,
-            arrival_vtime=message.arrival_vtime + self.retry.timeout_s + backoff_s,
-            trace=message.trace,
-        )
 
     def request(
         self,
@@ -667,11 +533,8 @@ class TcpTransport:
         timeout_s: Optional[float] = None,
         count: bool = True,
     ) -> Message:
-        timeout = timeout_s if timeout_s is not None else self._default_timeout
         try:
-            return reliable_request(
-                self, self.retry, dest, message, timeout, count
-            )
+            return super().request(dest, message, timeout_s, count)
         finally:
             with self._lock:
                 self._pending.pop(message.request_id, None)
@@ -682,7 +545,6 @@ class TcpTransport:
         build_message: Callable[[int], Message],
         timeout_s: Optional[float] = None,
     ) -> GatherResult:
-        timeout = timeout_s if timeout_s is not None else self._default_timeout
         issued: List[int] = []
 
         def build(dest: int) -> Message:
@@ -691,7 +553,7 @@ class TcpTransport:
             return message
 
         try:
-            return reliable_gather(self, self.retry, dests, build, timeout)
+            return super().gather(dests, build, timeout_s)
         finally:
             with self._lock:
                 for request_id in issued:

@@ -209,92 +209,58 @@ PIPELINE_PREFIXES = (
 )
 
 
-def gateway_pipeline_report(registry, prefixes=PIPELINE_PREFIXES) -> str:
-    """Counter tables for the write-back / cohort / staleness pipelines.
-
-    Walks the registry for counter families whose names match
-    ``prefixes`` and renders one line per family with its per-series
-    tallies.  Returns ``""`` when no matching family has recorded
-    anything, so runs without those subsystems keep their report
-    byte-identical.
-    """
+def _counter_section(registry, title: str, prefixes, kinds) -> str:
+    """One line per non-empty family of ``kinds`` whose name starts with
+    one of ``prefixes``: its per-series values in label order.  Returns
+    ``""`` when no such family has recorded anything, so runs without
+    the subsystem keep their report byte-identical."""
     rows: List[str] = []
     for family in registry.families():
-        if family.kind != "counter" or len(family) == 0:
+        if family.kind not in kinds or len(family) == 0:
             continue
-        if not any(family.name.startswith(p) for p in prefixes):
+        if not family.name.startswith(prefixes):
             continue
-        series = family.as_dict()  # type: ignore[union-attr]
-        if set(series) == {""}:
-            cells = f"{series['']:g}"
+        series = [
+            ("|".join(labels), child.value)
+            for labels, child in family.children()
+        ]
+        if len(series) == 1 and series[0][0] == "":
+            cells = f"{series[0][1]:g}"
         else:
-            cells = "  ".join(
-                f"{label}={value:g}" for label, value in series.items()
-            )
+            cells = "  ".join(f"{label}={value:g}" for label, value in series)
         rows.append(f"{family.name:<42} {cells}")
     if not rows:
         return ""
-    return "\n".join(["-- gateway pipeline counters --"] + rows)
+    return "\n".join([f"-- {title} --"] + rows)
+
+
+def gateway_pipeline_report(registry, prefixes=PIPELINE_PREFIXES) -> str:
+    """Counter tables for the write-back / cohort / staleness pipelines."""
+    return _counter_section(
+        registry, "gateway pipeline counters", tuple(prefixes), ("counter",)
+    )
 
 
 def transport_report(registry) -> str:
-    """Counter/gauge tables for the wire transport (``transport_*``).
-
-    Covers both transports' shared retry counters and the TCP-only wire
-    stats (bytes/frames by direction, connects, backpressure stalls,
-    queue high-water).  Returns ``""`` when no transport family has
-    recorded anything, so virtual-clock runs keep their report
-    byte-identical.
-    """
-    rows: List[str] = []
-    for family in registry.families():
-        if not family.name.startswith("transport_"):
-            continue
-        if family.kind not in ("counter", "gauge") or len(family) == 0:
-            continue
-        series = {
-            "|".join(labels): child.value
-            for labels, child in family.children()
-        }
-        if set(series) == {""}:
-            cells = f"{series['']:g}"
-        else:
-            cells = "  ".join(
-                f"{label}={value:g}" for label, value in sorted(series.items())
-            )
-        rows.append(f"{family.name:<42} {cells}")
-    if not rows:
-        return ""
-    return "\n".join(["-- transport counters --"] + rows)
+    """Counter/gauge tables for the wire transport (``transport_*``):
+    both transports' shared retry counters and the TCP-only wire stats
+    (bytes/frames by direction, connects, backpressure stalls, queue
+    high-water)."""
+    return _counter_section(
+        registry, "transport counters", ("transport_",), ("counter", "gauge")
+    )
 
 
 def replication_report(registry) -> str:
     """Counter/gauge tables for cross-cluster replication
     (``replication_*``): captured/shipped/acked entries, retransmits,
-    fencing rejections, per-home lag gauges.  Returns ``""`` when no
-    replication family has recorded anything, so runs without a
-    standby keep their report byte-identical.
-    """
-    rows: List[str] = []
-    for family in registry.families():
-        if not family.name.startswith("replication_"):
-            continue
-        if family.kind not in ("counter", "gauge") or len(family) == 0:
-            continue
-        series = {
-            "|".join(labels): child.value
-            for labels, child in family.children()
-        }
-        if set(series) == {""}:
-            cells = f"{series['']:g}"
-        else:
-            cells = "  ".join(
-                f"{label}={value:g}" for label, value in sorted(series.items())
-            )
-        rows.append(f"{family.name:<42} {cells}")
-    if not rows:
-        return ""
-    return "\n".join(["-- replication counters --"] + rows)
+    fencing rejections, per-home lag gauges."""
+    return _counter_section(
+        registry,
+        "replication counters",
+        ("replication_",),
+        ("counter", "gauge"),
+    )
 
 
 def render_report(

@@ -503,46 +503,6 @@ class PrototypeCluster:
             return record_and_finish(QueryLevel.L4, home, t)
         return record_and_finish(QueryLevel.NEGATIVE, None, t)
 
-    def verify_batch(
-        self,
-        node_id: int,
-        paths: List[str],
-        vtime: float = 0.0,
-    ) -> Dict[str, object]:
-        """Multi-key direct verification at ``node_id`` over the wire.
-
-        The gateway's batch path: one VERIFY_BATCH request carries every
-        key predicted onto the node; the reply maps path → found.  On a
-        timeout (fault injection) ``degraded`` is True and ``found`` is
-        empty — the caller falls back to per-key :meth:`lookup`.
-        """
-        if node_id not in self.nodes:
-            raise KeyError(f"unknown node {node_id}")
-        net = self.config.network
-        arrival = vtime + net.unicast_ms / 1000.0
-        message = Message(
-            kind=MessageKind.VERIFY_BATCH,
-            sender=CLIENT,
-            payload={"paths": list(paths)},
-            arrival_vtime=arrival,
-        )
-        try:
-            reply = self.transport.request(node_id, message)
-        except (TransportClosed, TimeoutError):
-            retry = self.transport.retry
-            penalty = retry.timeout_s * retry.max_attempts
-            return {
-                "found": {},
-                "virtual_latency_ms": penalty * 1000.0,
-                "degraded": True,
-            }
-        finish = reply.payload["finish_vtime"] + net.unicast_ms / 1000.0
-        return {
-            "found": reply.payload["found"],
-            "virtual_latency_ms": (finish - vtime) * 1000.0,
-            "degraded": False,
-        }
-
     def apply_mutation_batch(
         self,
         node_id: int,

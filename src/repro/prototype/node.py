@@ -8,6 +8,10 @@ advances the node's **virtual clock**: service begins at
 shared network/memory cost model.  Replies carry the virtual finish time, so
 clients can compute end-to-end virtual latency deterministically while the
 message flow itself runs concurrently across real threads.
+
+The mailbox loop itself — STOP handling, the "exception → ``error``
+reply" guard and ``stop()`` — is :class:`MailboxNode`, shared with the
+replication standby (:class:`~repro.replication.standby.StandbyNode`).
 """
 
 from __future__ import annotations
@@ -22,7 +26,55 @@ from repro.prototype.messages import Message, MessageKind
 from repro.prototype.transport import InProcessTransport
 
 
-class MDSNode(threading.Thread):
+class MailboxNode(threading.Thread):
+    """A daemon thread answering requests from its transport mailbox.
+
+    Registers ``node_id`` on ``transport`` and serves one message at a
+    time until a STOP arrives.  Subclasses implement only
+    :meth:`_answer`; a handler that raises is answered with an
+    ``error`` reply instead of killing the thread.  Works identically
+    over either transport — the reply rides ``message.reply_to``.
+    """
+
+    def __init__(self, node_id: int, transport, name: str) -> None:
+        super().__init__(name=name, daemon=True)
+        self.node_id = node_id
+        self.transport = transport
+        self._mailbox = transport.register(node_id)
+
+    def _answer(self, message: Message) -> Message:
+        """Serve one request and return its reply."""
+        raise NotImplementedError
+
+    def run(self) -> None:  # pragma: no cover - exercised via integration
+        while True:
+            message = self._mailbox.get()
+            if message.kind is MessageKind.STOP:
+                if message.reply_to is not None:
+                    message.reply_to.put(message.reply(stopped=True))
+                break
+            try:
+                reply = self._answer(message)
+            except Exception as exc:  # a bad request must not kill the node
+                reply = message.reply(error=f"{type(exc).__name__}: {exc}")
+            if message.reply_to is not None:
+                message.reply_to.put(reply)
+
+    def stop(self, timeout_s: float = 5.0) -> None:
+        """Ask the node to exit and join the thread."""
+        try:
+            self.transport.request(
+                self.node_id,
+                Message(kind=MessageKind.STOP, sender=-1),
+                timeout_s=timeout_s,
+            )
+        except Exception:
+            pass
+        self.join(timeout=timeout_s)
+        self.transport.deregister(self.node_id)
+
+
+class MDSNode(MailboxNode):
     """A metadata server thread.
 
     Parameters
@@ -42,21 +94,19 @@ class MDSNode(threading.Thread):
         transport: InProcessTransport,
         server: "MetadataServer" = None,
     ) -> None:
-        super().__init__(name=f"mds-{node_id}", daemon=True)
-        self.node_id = node_id
-        self.config = config
-        self.transport = transport
         # A restored node (crash recovery) resumes with its checkpointed
         # server state instead of a fresh one.
-        self.server = server if server is not None else MetadataServer(node_id, config)
-        if self.server.server_id != node_id:
+        if server is None:
+            server = MetadataServer(node_id, config)
+        if server.server_id != node_id:
             raise ValueError(
-                f"server id {self.server.server_id} != node id {node_id}"
+                f"server id {server.server_id} != node id {node_id}"
             )
-        self._mailbox = transport.register(node_id)
+        super().__init__(node_id, transport, name=f"mds-{node_id}")
+        self.config = config
+        self.server = server
         self._clock_lock = threading.Lock()
         self._busy_until = 0.0
-        self.requests_served = 0
         #: Change-data-capture hook (repro.replication): when set, called
         #: as ``cdc(op, path, record, vtime)`` for every MUTATE_BATCH
         #: mutation that actually changed durable state — the prototype
@@ -105,18 +155,9 @@ class MDSNode(threading.Thread):
         return cost
 
     # ------------------------------------------------------------------
-    # Event loop
+    # Dispatch
     # ------------------------------------------------------------------
-    def run(self) -> None:  # pragma: no cover - exercised via integration
-        while True:
-            message = self._mailbox.get()
-            if message.kind is MessageKind.STOP:
-                if message.reply_to is not None:
-                    message.reply_to.put(message.reply(stopped=True))
-                break
-            self._handle(message)
-
-    def _handle(self, message: Message) -> None:
+    def _answer(self, message: Message) -> Message:
         handler = {
             MessageKind.PROBE_LRU: self._on_probe_lru,
             MessageKind.PROBE_LOCAL: self._on_probe_local,
@@ -136,15 +177,8 @@ class MDSNode(threading.Thread):
             MessageKind.PING: self._on_ping,
         }.get(message.kind)
         if handler is None:
-            reply = message.reply(error=f"unknown kind {message.kind.value}")
-        else:
-            try:
-                reply = handler(message)
-            except Exception as exc:  # a bad request must not kill the node
-                reply = message.reply(error=f"{type(exc).__name__}: {exc}")
-        self.requests_served += 1
-        if message.reply_to is not None:
-            message.reply_to.put(reply)
+            return message.reply(error=f"unknown kind {message.kind.value}")
+        return handler(message)
 
     # ------------------------------------------------------------------
     # Handlers
@@ -409,19 +443,3 @@ class MDSNode(threading.Thread):
 
     def _on_ping(self, message: Message) -> Message:
         return message.reply(alive=True, finish_vtime=message.arrival_vtime)
-
-    # ------------------------------------------------------------------
-    # Shutdown
-    # ------------------------------------------------------------------
-    def stop(self, timeout_s: float = 5.0) -> None:
-        """Ask the node to exit and join the thread."""
-        try:
-            self.transport.request(
-                self.node_id,
-                Message(kind=MessageKind.STOP, sender=-1),
-                timeout_s=timeout_s,
-            )
-        except Exception:
-            pass
-        self.join(timeout=timeout_s)
-        self.transport.deregister(self.node_id)

@@ -2,95 +2,39 @@
 
 Each registered node owns a :class:`queue.Queue` mailbox.  ``send`` enqueues
 a message and bumps the message counter; ``request`` additionally blocks on
-a private reply queue.  Counting happens here — at the transport — so the
-message totals of Figures 14-15 are *observed*, not computed.
+a private reply queue.  Counting happens at the transport, so the message
+totals of Figures 14-15 are *observed*, not computed.
 
-The transport is also the fault boundary (``repro.faults``): every send
-passes through a :class:`~repro.faults.injector.FaultInjector` (the no-op
-:data:`~repro.faults.injector.NULL_INJECTOR` by default), which may drop,
-delay or duplicate the message.  Lost replies are recovered by bounded
-retry with exponential backoff + jitter (:class:`~repro.faults.retry.RetryPolicy`),
-driven by the transport-agnostic loop in :mod:`repro.net.reliability`
-(shared with the TCP transport so both recover identically); timeout and
-backoff penalties are charged to the retried message's *virtual* arrival
-time, so recovery costs show up in the latency figures without slowing
-the real clock.
+Everything but the mailbox registry lives in
+:class:`~repro.net.reliability.Transport`, shared with the TCP transport:
+the counters, the fault boundary (every send passes through a
+:class:`~repro.faults.injector.FaultInjector`, which may drop, delay or
+duplicate the message) and bounded retry with exponential backoff +
+jitter (:class:`~repro.faults.retry.RetryPolicy`).  Timeout and backoff
+penalties are charged to the retried message's *virtual* arrival time,
+so recovery costs show up in the latency figures without slowing the
+real clock.
 """
 
 from __future__ import annotations
 
 import queue
-import random
-import threading
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, List
 
-from repro.faults.injector import FaultInjector, NULL_INJECTOR
-from repro.faults.retry import DEFAULT_RETRY, RetryPolicy
-from repro.net.reliability import (
-    GatherResult,
-    TransportClosed,
-    reliable_gather,
-    reliable_request,
-)
+from repro.net.reliability import GatherResult, Transport, TransportClosed
 from repro.prototype.messages import Message
 
 __all__ = ["GatherResult", "InProcessTransport", "TransportClosed"]
 
 
-class InProcessTransport:
-    """Registry of node mailboxes plus message counters.
+class InProcessTransport(Transport):
+    """Registry of node mailboxes; counters, fault verdicts and retry
+    come from :class:`~repro.net.reliability.Transport` (same
+    parameters)."""
 
-    Parameters
-    ----------
-    default_timeout_s:
-        Real-clock wait per request attempt when no explicit timeout is
-        given.
-    injector:
-        Fault layer consulted on every send; defaults to the zero-overhead
-        :data:`~repro.faults.injector.NULL_INJECTOR`.
-    retry:
-        Retry/backoff policy for ``request`` and ``gather``.
-    metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; when given,
-        retries and exhaustions become counters and backoffs a histogram.
-    """
-
-    def __init__(
-        self,
-        default_timeout_s: float = 30.0,
-        injector: Optional[FaultInjector] = None,
-        retry: Optional[RetryPolicy] = None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._mailboxes: Dict[int, "queue.Queue[Message]"] = {}
-        self._lock = threading.Lock()
-        self._messages_sent = 0
-        self._replies_received = 0
-        self._default_timeout = default_timeout_s
-        self.injector: FaultInjector = (
-            injector if injector is not None else NULL_INJECTOR
-        )
-        self.retry: RetryPolicy = retry if retry is not None else DEFAULT_RETRY
-        # Jitter draws are seeded so a seeded soak reproduces its backoffs.
-        self._retry_rng = random.Random(0)
-        self._retries = 0
-        self._exhausted = 0
-        self._retries_counter = None
-        self._exhausted_counter = None
-        self._backoff_hist = None
-        if metrics is not None:
-            self._retries_counter = metrics.counter(
-                "transport_retries_total",
-                "Request attempts re-sent after a reply timed out.",
-            )
-            self._exhausted_counter = metrics.counter(
-                "transport_retry_exhausted_total",
-                "Requests/multicast legs that ran out of retry attempts.",
-            )
-            self._backoff_hist = metrics.histogram(
-                "transport_retry_backoff_ms",
-                "Backoff (virtual milliseconds) charged before each retry.",
-            ).labels()
 
     # ------------------------------------------------------------------
     # Registration
@@ -116,162 +60,16 @@ class InProcessTransport:
             return node_id in self._mailboxes
 
     # ------------------------------------------------------------------
-    # Messaging
+    # Delivery
     # ------------------------------------------------------------------
-    @property
-    def messages_sent(self) -> int:
-        with self._lock:
-            return self._messages_sent
+    def _resolve(self, dest: int) -> "queue.Queue[Message]":
+        mailbox = self._mailboxes.get(dest)
+        if mailbox is None:
+            raise TransportClosed(f"node {dest} is not registered")
+        return mailbox
 
-    @property
-    def replies_received(self) -> int:
-        with self._lock:
-            return self._replies_received
-
-    @property
-    def retries(self) -> int:
-        with self._lock:
-            return self._retries
-
-    @property
-    def exhausted(self) -> int:
-        with self._lock:
-            return self._exhausted
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self._messages_sent = 0
-            self._replies_received = 0
-            self._retries = 0
-            self._exhausted = 0
-
-    def send(self, dest: int, message: Message, count: bool = True) -> bool:
-        """One-way send (counted as one message unless ``count=False``,
-        which is reserved for harness-level synchronization pings).
-
-        Returns True when the message reached the destination mailbox;
-        False when the fault layer dropped it.  A dropped message still
-        counts as sent — it went on the wire and vanished there.
-        """
-        with self._lock:
-            mailbox = self._mailboxes.get(dest)
-            if mailbox is None:
-                raise TransportClosed(f"node {dest} is not registered")
-            if count:
-                self._messages_sent += 1
-        if self.injector.enabled:
-            verdict = self.injector.on_send(dest, message)
-            if not verdict.deliver:
-                return False
-            if verdict.delay_s:
-                message.arrival_vtime += verdict.delay_s
-            for _ in range(verdict.copies):
-                mailbox.put(message)
-            return True
-        mailbox.put(message)
-        return True
-
-    def _count_reply(self) -> None:
-        with self._lock:
-            self._messages_sent += 1  # the reply on the wire
-            self._replies_received += 1
-
-    def _note_retry(self, backoff_s: float) -> None:
-        with self._lock:
-            self._retries += 1
-        if self._retries_counter is not None:
-            self._retries_counter.inc()
-        if self._backoff_hist is not None:
-            self._backoff_hist.observe(backoff_s * 1000.0)
-
-    def _note_exhausted(self, count: int = 1) -> None:
-        with self._lock:
-            self._exhausted += count
-        if self._exhausted_counter is not None:
-            self._exhausted_counter.inc(count)
-
-    # ------------------------------------------------------------------
-    # Wire adapter driven by repro.net.reliability
-    # ------------------------------------------------------------------
-    def dispatch_attempt(self, dest: int, message: Message, count: bool) -> bool:
-        """Arm a fresh reply queue and put one attempt on the wire."""
-        message.reply_to = queue.Queue()
-        return self.send(dest, message, count=count)
-
-    def collect_reply(
-        self, message: Message, timeout_s: float
-    ) -> Optional[Message]:
-        try:
-            return message.reply_to.get(timeout=timeout_s)
-        except queue.Empty:
-            return None
-
-    def reply_received(self, count: bool) -> None:
-        if count:
-            self._count_reply()
-        else:
-            with self._lock:
-                self._replies_received += 1
-
-    def next_backoff(self, retry_index: int) -> float:
-        with self._lock:
-            return self.retry.backoff_s(retry_index, self._retry_rng)
-
-    def note_retry(self, backoff_s: float) -> None:
-        self._note_retry(backoff_s)
-
-    def note_exhausted(self, count: int) -> None:
-        self._note_exhausted(count)
-
-    def retry_attempt(self, message: Message, backoff_s: float) -> Message:
-        """The re-sent attempt: same request, later virtual arrival.
-
-        The failed attempt's timeout and the backoff are virtual-clock
-        costs (the client *waited* that long before re-sending).
-        """
-        return Message(
-            kind=message.kind,
-            sender=message.sender,
-            payload=message.payload,
-            request_id=message.request_id,
-            arrival_vtime=message.arrival_vtime + self.retry.timeout_s + backoff_s,
-            trace=message.trace,
-        )
-
-    def request(
-        self,
-        dest: int,
-        message: Message,
-        timeout_s: Optional[float] = None,
-        count: bool = True,
-    ) -> Message:
-        """Send and block for the reply (request + reply = 2 messages).
-
-        A lost reply is retried up to ``retry.max_attempts`` total sends
-        with exponential backoff; :class:`TimeoutError` is raised only
-        once the budget is exhausted.  Messages the fault layer is known
-        to have dropped skip the real-clock wait — the timeout is charged
-        to the retry's virtual arrival time instead.
-        """
-        timeout = timeout_s if timeout_s is not None else self._default_timeout
-        return reliable_request(self, self.retry, dest, message, timeout, count)
-
-    def gather(
-        self,
-        dests: Iterable[int],
-        build_message: Callable[[int], Message],
-        timeout_s: Optional[float] = None,
-    ) -> GatherResult:
-        """Multicast: send to every dest, then gather whatever replies.
-
-        ``build_message(dest)`` constructs each request (so every request
-        carries its own reply queue).  All destinations share one deadline
-        per attempt wave — total real wait is bounded by the timeout, not
-        ``len(dests) × timeout`` — and destinations that stay silent are
-        retried with backoff.  The result carries the collected replies
-        *plus* the set of silent/unreachable destinations, so callers can
-        degrade (e.g. escalate to the global broadcast) instead of
-        aborting and discarding replies already received.
-        """
-        timeout = timeout_s if timeout_s is not None else self._default_timeout
-        return reliable_gather(self, self.retry, dests, build_message, timeout)
+    def _deliver(
+        self, mailbox: "queue.Queue[Message]", message: Message, copies: int
+    ) -> None:
+        for _ in range(copies):
+            mailbox.put(message)

@@ -11,6 +11,7 @@ machinery.
 """
 
 import re
+import time
 
 import pytest
 
@@ -208,6 +209,107 @@ class TestTcpFaultBoundaryParity:
         finally:
             _stop_fleet(fleet, nodes)
             tcp.close()
+
+
+class _RecordingInjector:
+    """Delegates to a seeded plan injector and keeps every verdict."""
+
+    enabled = True
+
+    def __init__(self, plan):
+        self._inner = PlanFaultInjector(plan)
+        self.verdicts = []
+
+    def on_send(self, dest, message):
+        verdict = self._inner.on_send(dest, message)
+        self.verdicts.append(verdict)
+        return verdict
+
+
+class TestTcpMixedFaultParity:
+    """Every verdict kind at once: the same seeded drop + delay +
+    duplicate plan over the same requests leaves both transports with
+    identical counters and replies, and TCP puts exactly the delivered
+    copies on the wire."""
+
+    PLAN = FaultPlan(
+        seed=13, drop_rate=0.3, delay_rate=0.4, duplicate_rate=0.3
+    )
+    REQUESTS = 40
+
+    def _drive(self, transport):
+        finishes = []
+        for index in range(self.REQUESTS):
+            message = Message(
+                kind=MessageKind.VERIFY,
+                sender=-1,
+                payload={"path": f"/mixed/{index}"},
+                arrival_vtime=index * 0.01,
+            )
+            try:
+                reply = transport.request(0, message)
+            except TimeoutError:
+                finishes.append(None)
+                continue
+            finishes.append(reply.payload["finish_vtime"])
+        counters = {
+            "messages_sent": transport.messages_sent,
+            "replies_received": transport.replies_received,
+            "retries": transport.retries,
+            "exhausted": transport.exhausted,
+        }
+        return finishes, counters
+
+    def test_mixed_plan_counts_identically_to_in_process(self):
+        retry = RetryPolicy(max_attempts=3, timeout_s=0.02)
+        config = _config()
+
+        inproc_injector = _RecordingInjector(self.PLAN)
+        inproc = InProcessTransport(
+            default_timeout_s=5.0, injector=inproc_injector, retry=retry
+        )
+        inproc_node = MDSNode(0, config, inproc)
+        inproc_node.start()
+        try:
+            inproc_finishes, inproc_counters = self._drive(inproc)
+            # Snapshot before stop(): its STOP request is a send too.
+            inproc_verdicts = list(inproc_injector.verdicts)
+        finally:
+            inproc_node.stop()
+
+        portmap = PortMap.reserve([0])
+        fleet, nodes = _start_fleet(portmap, [0], config=config)
+        tcp_injector = _RecordingInjector(self.PLAN)
+        tcp = TcpTransport(
+            portmap, default_timeout_s=5.0, injector=tcp_injector, retry=retry
+        )
+        try:
+            tcp_finishes, tcp_counters = self._drive(tcp)
+            delivered = [v for v in tcp_injector.verdicts if v.deliver]
+            expected_frames = sum(v.copies for v in delivered)
+            deadline = time.monotonic() + 5.0
+            while (
+                tcp.stats()["frames_out"] < expected_frames
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            frames_out = tcp.stats()["frames_out"]
+        finally:
+            _stop_fleet(fleet, nodes)
+            tcp.close()
+
+        # The plan really exercised every verdict kind.
+        verdicts = tcp_injector.verdicts
+        assert any(not v.deliver for v in verdicts)
+        assert any(v.deliver and v.delay_s > 0 for v in verdicts)
+        assert any(v.deliver and v.copies > 1 for v in verdicts)
+        assert verdicts == inproc_verdicts
+
+        assert tcp_counters == inproc_counters
+        assert tcp_counters["retries"] > 0
+        assert tcp_counters["exhausted"] > 0
+        assert tcp_finishes == inproc_finishes
+        assert frames_out == expected_frames
 
 
 class TestTcpShutdownSemantics:

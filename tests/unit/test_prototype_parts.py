@@ -10,6 +10,7 @@ from repro.metadata.attributes import FileMetadata
 from repro.prototype.messages import Message, MessageKind
 from repro.prototype.node import MDSNode
 from repro.prototype.transport import InProcessTransport, TransportClosed
+from repro.replication.standby import StandbyNode
 
 
 @pytest.fixture
@@ -178,3 +179,43 @@ class TestNode:
             0, Message(kind=MessageKind.REPLY, sender=-1)
         )
         assert "error" in reply.payload
+
+
+class TestMailboxErrorGuard:
+    """A request whose handler raises is answered with an ``error``
+    reply, and the node keeps serving: both mailbox node kinds."""
+
+    def _raises_then_pings(self, transport, node_id, bad, error):
+        reply = transport.request(node_id, bad)
+        assert reply.payload["error"].startswith(error)
+        pong = transport.request(
+            node_id, Message(kind=MessageKind.PING, sender=-1)
+        )
+        assert pong.payload["alive"] is True
+
+    def test_mds_node_survives_a_raising_handler(self, node, transport):
+        bad = Message(
+            kind=MessageKind.MUTATE_BATCH,
+            sender=-1,
+            payload={
+                "origin": 1,
+                "mutations": [{"version": 1, "op": "bogus", "path": "/x"}],
+            },
+        )
+        self._raises_then_pings(
+            transport, 0, bad, "ValueError: unknown mutation op 'bogus'"
+        )
+
+    def test_standby_node_survives_a_raising_handler(self, transport):
+        standby = StandbyNode(5, transport)
+        standby.start()
+        try:
+            bad = Message(
+                kind=MessageKind.REPL_SYNC,
+                sender=-1,
+                payload={"epoch": 1, "checkpoint": "not json"},
+            )
+            self._raises_then_pings(transport, 5, bad, "JSONDecodeError")
+        finally:
+            standby.stop()
+        assert 5 not in transport
