@@ -46,10 +46,14 @@ FLOORS = {
     "ghba_query": (3.0, 3.5),      # measured 4.3x mean, 5.0x p50
     "ghba_hot_path": (4.0, 4.0),   # measured 5.9x mean, 6.8x p50
     "hba_query": (2.0, 2.0),       # measured 3.4x mean, 3.4x p50
-    # The gateway p50 is dominated by lease-cache hits the overhaul
-    # barely touches (measured 1.0-1.3x run to run), so its p50 floor
-    # is a no-regression guard, not a speedup claim.
-    "gateway_lookup": (1.5, 0.9),  # measured 2.2x mean
+    # The gateway p50 is dominated by lease-cache hits the Bloom
+    # overhaul barely touches (1.0-1.3x run to run).  The incremental
+    # hotspot shield then took the per-tick hot-set rebuild and the
+    # ~90 per-key pin calls off that path: p50 105 -> 47 us (2.2x) on
+    # one slower machine, parent and change back to back, and 37 us
+    # against this artifact's 68 us (1.8x) on another.  The floor keeps
+    # the usual ~0.7 margin under 1.8x.
+    "gateway_lookup": (1.5, 1.25),  # measured 2.2x mean, 1.8x p50
 }
 
 DETERMINISM_QUERIES = 3_000

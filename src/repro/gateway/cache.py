@@ -22,15 +22,17 @@ Coherence rules (see DESIGN.md §9):
   client enforces that, the cache just provides the API.
 
 Hot entries (flagged by :mod:`repro.gateway.hotspot`) are *pinned*: they
-get extended leases and are exempt from LRU eviction, shielding the MDS
-fleet from the heaviest hitters even under cache pressure.
+are exempt from LRU eviction and, where a coherence hook makes renewal
+safe, get extended leases, shielding the MDS fleet from the heaviest
+hitters even under cache pressure.  A pin stays on its entry (refreshes
+carry it over) until the entry is invalidated or evicted.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.metadata.attributes import FileMetadata
 
@@ -275,6 +277,32 @@ class GatewayCache:
                 extension = min(extension, self.ttl_clamp_s)
             entry.expires_at = max(entry.expires_at, now + extension)
         return True
+
+    def pin_many(
+        self, paths: Iterable[str], now: float, extend: bool = True
+    ) -> None:
+        """:meth:`pin` every path in ``paths`` in one pass — the shield
+        refresh, once per tick.
+
+        The per-entry effect is exactly :meth:`pin`'s (absent and
+        negative entries are skipped), and pinning touches neither LRU
+        recency nor any other entry, so the order of ``paths`` does not
+        matter.
+        """
+        entries = self._entries
+        horizon = None
+        if extend:
+            extension = self.hot_lease_ttl_s
+            if self.ttl_clamp_s is not None:
+                extension = min(extension, self.ttl_clamp_s)
+            horizon = now + extension
+        for path in paths:
+            entry = entries.get(path)
+            if entry is None or entry.negative:
+                continue
+            entry.pinned = True
+            if horizon is not None and entry.expires_at < horizon:
+                entry.expires_at = horizon
 
     def unpin(self, path: str) -> None:
         entry = self._entries.get(path)

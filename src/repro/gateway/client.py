@@ -410,7 +410,7 @@ class MetadataClient:
         ).set(len(self.cache))
         m.gauge(
             "gateway_hot_paths", "Paths currently flagged hot."
-        ).set(len(self.hotspots.hot_keys()))
+        ).set(len(self.hotspots.hot_set))
         m.gauge(
             "gateway_queue_depth", "Requests waiting in the admission queue."
         ).set(self.admission.queue_depth)
@@ -680,11 +680,10 @@ class MetadataClient:
                 degraded=result.degraded,
             )
         # ---- shield refresh: pin what is hot --------------------------
-        for path in self.hotspots.hot_keys():
-            # Touch-renewal of hot leases is only coherent when the
-            # cluster hook invalidates them; hook-less members pin for
-            # eviction immunity but let leases expire on schedule.
-            self.cache.pin(path, now, extend=self.hooked)
+        # Touch-renewal of hot leases is only coherent when the cluster
+        # hook invalidates them; hook-less members pin for eviction
+        # immunity but let leases expire on schedule.
+        self.cache.pin_many(self.hotspots.hot_set, now, extend=self.hooked)
         # ---- gateway spans (one per leader flight) --------------------
         if self.tracer.enabled:
             for path in flight.leaders:

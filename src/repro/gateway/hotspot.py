@@ -12,14 +12,25 @@ under-count.
 A single sketch never forgets, so yesterday's hotspot would stay "hot"
 forever.  :class:`HotspotDetector` therefore keeps **two epochs** — the
 current sketch and the previous one — rotated every ``window_s`` of
-virtual time; a key's windowed estimate is the sum of both, which decays
-cold keys within two windows while keeping genuinely hot keys flagged
-across the rotation boundary.
+virtual time; a key's windowed estimate is the sum of both, which drops
+cold keys out of the *hot set* within two windows while keeping
+genuinely hot keys flagged across the rotation boundary.
 
-Hot keys feed back into the cache (:meth:`GatewayCache.pin`): extended
-leases, exempt from LRU eviction — the "shielding" of the PR title — and
-surface in the operator report (``repro.obs.report``) as the gateway
-hotspots section.
+The hot set is kept incrementally: each observation can only raise the
+observed key's estimate and lower the estimate of the key its sketch
+evicted, so those two keys are the only ones re-tested; the set is
+recomputed from the previous sketch only at epoch rotation.  Eviction
+picks the minimum counter through a lazy-deletion heap, O(log capacity).
+``is_hot`` is a set-membership test.
+
+Hot keys feed back into the cache (:meth:`GatewayCache.pin_many`, once
+per tick): pinned entries are exempt from LRU eviction and, on hooked
+gateways, get extended leases — the "shielding" — and hot keys surface
+in the operator report (``repro.obs.report``) as the gateway hotspots
+section.  Only the hot set decays: a pin is never cleared when its key
+cools.  It lasts as long as the cache entry does, and a refresh of the
+entry (``GatewayCache._install``) carries it over; invalidation or
+eviction of the entry is what ends it.
 
 **Shared-pin semantics (multi-tenant).**  The lease cache is one shared
 structure per gateway process, so a pin is *tenant-blind by design*: when
@@ -36,8 +47,9 @@ tokens (admission fairness is enforced upstream, per tenant, in
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -52,10 +64,17 @@ class HeavyHitter:
 class SpaceSavingSketch:
     """Fixed-size space-saving counter table.
 
-    ``offer(key)`` is O(1) amortized on dict operations plus an O(capacity)
-    min-scan on eviction; fine at the gateway's capacities (tens to a few
-    thousand counters).
+    ``offer(key)`` is O(log capacity): the eviction victim comes from a
+    lazy-deletion min-heap of ``(count, key)`` pairs.  Every counter
+    change pushes its new pair; pairs whose count no longer matches the
+    live counter are discarded when they reach the top, and the heap is
+    rebuilt from the live counters once it outgrows
+    ``HEAP_SLACK * capacity`` entries.
     """
+
+    #: Heap entries allowed per counter before the stale pairs are
+    #: compacted away.
+    HEAP_SLACK = 4
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
@@ -63,27 +82,48 @@ class SpaceSavingSketch:
         self.capacity = capacity
         self._counts: Dict[str, int] = {}
         self._errors: Dict[str, int] = {}
+        self._heap: List[Tuple[int, str]] = []
         self.observed = 0
 
-    def offer(self, key: str, amount: int = 1) -> None:
-        """Account one observation of ``key``."""
+    def offer(self, key: str, amount: int = 1) -> Optional[str]:
+        """Account one observation of ``key``; returns the evicted key,
+        or ``None`` when nothing was evicted."""
         if amount < 1:
             raise ValueError(f"amount must be >= 1, got {amount}")
         self.observed += amount
-        if key in self._counts:
-            self._counts[key] += amount
-            return
-        if len(self._counts) < self.capacity:
-            self._counts[key] = amount
+        counts = self._counts
+        victim = None
+        count = counts.get(key)
+        if count is not None:
+            count += amount
+        elif len(counts) < self.capacity:
+            count = amount
             self._errors[key] = 0
-            return
-        # Evict the minimum counter; the newcomer inherits its count as
-        # over-estimation error (ties broken by key for determinism).
-        victim = min(self._counts, key=lambda k: (self._counts[k], k))
-        floor = self._counts.pop(victim)
-        self._errors.pop(victim)
-        self._counts[key] = floor + amount
-        self._errors[key] = floor
+        else:
+            # Evict the minimum counter; the newcomer inherits its count
+            # as over-estimation error (ties broken by key for
+            # determinism).
+            victim = self._pop_min()
+            floor = counts.pop(victim)
+            self._errors.pop(victim)
+            count = floor + amount
+            self._errors[key] = floor
+        counts[key] = count
+        heap = self._heap
+        heapq.heappush(heap, (count, key))
+        if len(heap) > self.HEAP_SLACK * self.capacity:
+            heap[:] = [(c, k) for k, c in counts.items()]
+            heapq.heapify(heap)
+        return victim
+
+    def _pop_min(self) -> str:
+        """Pop the live ``min((count, key))``, discarding stale pairs."""
+        heap = self._heap
+        counts = self._counts
+        while True:
+            count, key = heapq.heappop(heap)
+            if counts.get(key) == count:
+                return key
 
     def estimate(self, key: str) -> int:
         """Estimated count (never an under-count; 0 if unmonitored)."""
@@ -144,26 +184,56 @@ class HotspotDetector:
             )
         self.capacity = capacity
         self.window_s = window_s
-        self.hot_threshold = hot_threshold
+        self._hot_threshold = hot_threshold
         self._current = SpaceSavingSketch(capacity)
         self._previous = SpaceSavingSketch(capacity)
         self._epoch_start = 0.0
         self.rotations = 0
+        #: Every key whose windowed estimate reaches the threshold.
+        self._hot: Set[str] = set()
+
+    @property
+    def hot_threshold(self) -> int:
+        """Windowed estimate at which a key counts as hot (fixed at
+        construction: the hot set is maintained against it)."""
+        return self._hot_threshold
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
     def _maybe_rotate(self, now: float) -> None:
+        if now - self._epoch_start < self.window_s:
+            return
         while now - self._epoch_start >= self.window_s:
             self._previous = self._current
             self._current = SpaceSavingSketch(self.capacity)
             self._epoch_start += self.window_s
             self.rotations += 1
+        # The current epoch is empty, so a key's windowed estimate is
+        # its previous-epoch count.
+        threshold = self._hot_threshold
+        self._hot = {
+            key
+            for key, count in self._previous._counts.items()
+            if count >= threshold
+        }
 
     def observe(self, key: str, now: float) -> None:
-        """Account one request for ``key`` at virtual time ``now``."""
+        """Account one request for ``key`` at virtual time ``now``.
+
+        Only two estimates move: ``key``'s rises and the evicted
+        victim's falls to its previous-epoch count, so only those two
+        keys can enter or leave the hot set.
+        """
         self._maybe_rotate(now)
-        self._current.offer(key)
+        current = self._current
+        victim = current.offer(key)
+        previous = self._previous._counts
+        threshold = self._hot_threshold
+        if current._counts[key] + previous.get(key, 0) >= threshold:
+            self._hot.add(key)
+        if victim is not None and previous.get(victim, 0) < threshold:
+            self._hot.discard(victim)
 
     # ------------------------------------------------------------------
     # Queries
@@ -173,17 +243,17 @@ class HotspotDetector:
         return self._current.estimate(key) + self._previous.estimate(key)
 
     def is_hot(self, key: str) -> bool:
-        return self.estimate(key) >= self.hot_threshold
+        return key in self._hot
 
     def hot_keys(self) -> List[str]:
         """Every currently-hot key, sorted (deterministic)."""
-        keys = set(self._counts_union())
-        return sorted(k for k in keys if self.is_hot(k))
+        return sorted(self._hot)
 
-    def _counts_union(self) -> List[str]:
-        return list(self._current._counts) + [
-            k for k in self._previous._counts if k not in self._current._counts
-        ]
+    @property
+    def hot_set(self) -> AbstractSet[str]:
+        """The live hot set, unsorted; read-only for callers and only
+        valid until the next :meth:`observe`."""
+        return self._hot
 
     def top_k(self, k: int = 5) -> List[HeavyHitter]:
         """Top hotspots by windowed estimate (merged across both epochs)."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -27,6 +28,10 @@ from repro.net.tcp import PortMap, TcpTransport
 from repro.prototype.messages import Message, MessageKind
 
 __all__ = ["ProcessSupervisor", "config_to_dict", "config_from_dict"]
+
+#: Interval between the plain connects that find a starting child's
+#: listener (``ProcessSupervisor.wait_ready``).
+READY_POLL_S = 0.01
 
 
 def config_to_dict(config: GHBAConfig) -> Dict[str, object]:
@@ -135,16 +140,19 @@ class ProcessSupervisor:
         node_ids: List[int],
         timeout_s: float = 20.0,
     ) -> None:
-        """Block until every node answers PING over the real wire."""
+        """Block until every node answers PING over the real wire.
+
+        Each node's port is first polled with plain connects every
+        ``READY_POLL_S``, so readiness is seen as soon as the child
+        listens; the transport's own escalating connect backoff (and its
+        ``connect_retries`` count) only comes into play if the listener
+        goes away again before the PING.
+        """
         deadline = time.monotonic() + timeout_s
         for node_id in node_ids:
+            self._wait_listening(node_id, deadline, timeout_s)
             while True:
-                proc = self._procs.get(node_id)
-                if proc is not None and proc.poll() is not None:
-                    raise RuntimeError(
-                        f"mds {node_id} exited with {proc.returncode} "
-                        f"before becoming ready (see mds-{node_id}.log)"
-                    )
+                self._check_alive(node_id)
                 try:
                     transport.request(
                         node_id,
@@ -161,6 +169,31 @@ class ProcessSupervisor:
                             f"mds {node_id} not ready within {timeout_s}s"
                         ) from None
                     time.sleep(0.05)
+
+    def _check_alive(self, node_id: int) -> None:
+        proc = self._procs.get(node_id)
+        if proc is not None and proc.poll() is not None:
+            raise RuntimeError(
+                f"mds {node_id} exited with {proc.returncode} "
+                f"before becoming ready (see mds-{node_id}.log)"
+            )
+
+    def _wait_listening(
+        self, node_id: int, deadline: float, timeout_s: float
+    ) -> None:
+        """Poll ``node_id``'s port until a plain TCP connect succeeds."""
+        address = self.portmap.endpoint(node_id)
+        while True:
+            self._check_alive(node_id)
+            try:
+                socket.create_connection(address, timeout=READY_POLL_S).close()
+                return
+            except OSError:
+                if time.monotonic() > deadline:
+                    raise RuntimeError(
+                        f"mds {node_id} not ready within {timeout_s}s"
+                    ) from None
+                time.sleep(READY_POLL_S)
 
     def stop_mds(
         self,

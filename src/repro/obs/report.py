@@ -176,7 +176,7 @@ def gateway_hotspot_report(gateway: "MetadataClient", top: int = 5) -> str:
     Rows come from the sliding-window space-saving sketch
     (:mod:`repro.gateway.hotspot`); ``est`` is the windowed request
     estimate, ``err`` its maximum over-count, ``shielded`` whether the
-    path currently holds a pinned, extended lease in the gateway cache.
+    path currently holds a pinned lease in the gateway cache.
     """
     lines = [f"-- hotspots: gateway paths (top {top} by request share) --"]
     hitters = gateway.top_hotspots(top)

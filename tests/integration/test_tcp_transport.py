@@ -11,6 +11,7 @@ machinery.
 """
 
 import re
+import threading
 import time
 
 import pytest
@@ -21,6 +22,7 @@ from repro.faults.injector import FaultPlan, PlanFaultInjector
 from repro.faults.retry import RetryPolicy
 from repro.metadata.attributes import FileMetadata
 from repro.net.reliability import TransportClosed
+from repro.net.supervisor import ProcessSupervisor
 from repro.net.tcp import PortMap, TcpTransport
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import transport_report
@@ -438,4 +440,42 @@ class TestTcpWireStats:
             assert "transport_queue_high_water" in report
         finally:
             _stop_fleet(fleet, nodes)
+            client.close()
+
+
+class TestSupervisorReadiness:
+    def test_late_listener_is_seen_without_connect_backoff(self, tmp_path):
+        """``wait_ready`` notices a node as soon as it listens.
+
+        The node binds 0.35 s after the wait starts.  Found through the
+        transport's escalating connect backoff (retries at 0.05, 0.15,
+        0.30, 0.50 s) readiness would only show at 0.50 s, after 4
+        connect retries; the plain-connect poll sees it within a few
+        milliseconds and the PING connects first time.
+        """
+        portmap = PortMap.reserve([0])
+        fleet = TcpTransport(portmap, default_timeout_s=5.0)
+        client = TcpTransport(portmap, default_timeout_s=5.0)
+        supervisor = ProcessSupervisor(portmap, _config(), tmp_path)
+        nodes = {}
+
+        def start_late():
+            time.sleep(0.35)
+            nodes[0] = MDSNode(0, _config(), fleet)
+            nodes["bound_at"] = time.monotonic()
+            nodes[0].start()
+
+        starter = threading.Thread(target=start_late)
+        try:
+            starter.start()
+            supervisor.wait_ready(client, [0], timeout_s=5.0)
+            ready_at = time.monotonic()
+            starter.join()
+            assert ready_at - nodes["bound_at"] < 0.1
+            assert client.stats()["connect_retries"] == 0
+        finally:
+            starter.join()
+            if 0 in nodes:
+                nodes[0].stop(timeout_s=5.0)
+            fleet.close()
             client.close()
